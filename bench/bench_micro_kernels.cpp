@@ -300,6 +300,7 @@ int LsCgSolve(const linalg::CsrMatrix& m, std::span<const double> rhs,
   for (std::size_t i = 0; i < d; ++i) {
     r[i] = rhs[i];
     p[i] = rhs[i];
+    hp[i] = rho * rhs[i];
   }
   double rr = linalg::Dot(r, r);
   const double stop = tol * tol * rr;
@@ -307,15 +308,14 @@ int LsCgSolve(const linalg::CsrMatrix& m, std::span<const double> rhs,
   while (iters < max_iters && rr > stop) {
     ++iters;
     m.Multiply(p, ax);
-    for (std::size_t i = 0; i < d; ++i) hp[i] = rho * p[i];
-    m.TransposeMultiplyAdd(ax, hp);
+    m.TransposeMultiplyAdd(ax, hp);  // hp already holds rho * p
     const double php = linalg::Dot(p, hp);
     if (php <= 0.0) break;
     const double alpha = rr / php;
     linalg::Axpy(alpha, p, x);
     const double rr_new = linalg::AxpyNormSq(-alpha, hp, r);
     const double beta = rr_new / rr;
-    linalg::XpayNormSq(beta, r, p);
+    linalg::XpayNormSq(beta, r, p, rho, hp);
     rr = rr_new;
   }
   return iters;

@@ -138,7 +138,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
              static_cast<double>(problem.dim()));
     conv.Hoist(eo);
   }
-  // Residual/objective telemetry state (observe-only: ComputeResiduals and
+  // Residual/objective telemetry state (observe-only: AdvanceResiduals and
   // MeanZInto recycle scratch and never touch algorithm state). On a warm
   // start the dual-residual reference is the restored consensus mean — what
   // the uninterrupted run would hold — so a split run's timeline rows match
@@ -375,8 +375,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     // Sampled after the round's consensus + local updates, from virtual-time
     // state and hoisted counters only (bitwise-identical across pool sizes).
     if (eo.on() || options.progress != nullptr) {
-      const WorkerSet::Residuals res = ws.ComputeResiduals(z_prev_mean);
-      ws.MeanZInto(z_prev_mean);
+      const WorkerSet::Residuals res = ws.AdvanceResiduals(z_prev_mean);
       if (eo.on()) {
         eo.BeginTimelineRow(k);
         conv.primal->Append(res.primal);

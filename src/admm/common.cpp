@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/lane4.hpp"
 #include "solver/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -20,37 +21,27 @@ void WorkerNorms(std::span<const double> x, std::span<const double> z,
                  std::span<const double> y, double& dist_xz, double& norm_x,
                  double& norm_y) {
   const std::size_t n = x.size();
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
+  linalg::Lane4 p = {}, a = {}, b = {}, xv = {}, zv = {}, yv = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double d0 = x[i] - z[i];
-    const double d1 = x[i + 1] - z[i + 1];
-    const double d2 = x[i + 2] - z[i + 2];
-    const double d3 = x[i + 3] - z[i + 3];
-    p0 += d0 * d0;
-    p1 += d1 * d1;
-    p2 += d2 * d2;
-    p3 += d3 * d3;
-    a0 += x[i] * x[i];
-    a1 += x[i + 1] * x[i + 1];
-    a2 += x[i + 2] * x[i + 2];
-    a3 += x[i + 3] * x[i + 3];
-    b0 += y[i] * y[i];
-    b1 += y[i + 1] * y[i + 1];
-    b2 += y[i + 2] * y[i + 2];
-    b3 += y[i + 3] * y[i + 3];
+    linalg::Load4(xv, x.data() + i);
+    linalg::Load4(zv, z.data() + i);
+    linalg::Load4(yv, y.data() + i);
+    const linalg::Lane4 dv = xv - zv;
+    p += dv * dv;
+    a += xv * xv;
+    b += yv * yv;
   }
+  double p0 = p[0], a0 = a[0], b0 = b[0];
   for (; i < n; ++i) {
     const double d = x[i] - z[i];
     p0 += d * d;
     a0 += x[i] * x[i];
     b0 += y[i] * y[i];
   }
-  dist_xz = std::sqrt((p0 + p1) + (p2 + p3));
-  norm_x = std::sqrt((a0 + a1) + (a2 + a3));
-  norm_y = std::sqrt((b0 + b1) + (b2 + b3));
+  dist_xz = std::sqrt(linalg::Fold4(p, p0));
+  norm_x = std::sqrt(linalg::Fold4(a, a0));
+  norm_y = std::sqrt(linalg::Fold4(b, b0));
 }
 
 }  // namespace
@@ -106,17 +97,29 @@ WorkerSet::WorkerSet(const ConsensusProblem* problem,
   y_.assign(n, linalg::DenseVector(d, 0.0));
   w_.assign(n, linalg::DenseVector(d, 0.0));
   z_.assign(n, linalg::DenseVector(d, 0.0));
-  tron_ws_.resize(n);
+  ReserveWorkspaces();
 }
 
 double WorkerSet::XWStep(std::size_t i) {
   PSRA_REQUIRE(i < local_.size(), "worker index out of range");
+  const std::size_t slot =
+      options_->pool != nullptr ? options_->pool->CurrentSlot() : 0;
+  PSRA_CHECK(slot < tron_ws_.size(), "no TRON workspace for this thread");
   solver::FlopCounter flops;
   local_[i].SetRho(rho_);
   local_[i].SetIterationTerms(y_[i], z_[i]);
-  solver::TronMinimize(local_[i], x_[i], options_->tron, &flops, tron_ws_[i]);
+  solver::TronMinimize(local_[i], x_[i], options_->tron, &flops,
+                       tron_ws_[slot]);
   solver::WLocal(rho_, x_[i], y_[i], w_[i], &flops);
   return flops.flops;
+}
+
+void WorkerSet::ReserveWorkspaces() {
+  const std::size_t slots =
+      options_->pool != nullptr ? options_->pool->slots() : 1;
+  if (tron_ws_.size() >= slots) return;
+  tron_ws_.resize(slots);
+  for (auto& ws : tron_ws_) ws.Resize(static_cast<std::size_t>(dim()));
 }
 
 void WorkerSet::XWStepAll(std::vector<double>& flops_out,
@@ -124,6 +127,7 @@ void WorkerSet::XWStepAll(std::vector<double>& flops_out,
   PSRA_REQUIRE(flops_out.size() == size(), "flops_out size mismatch");
   PSRA_REQUIRE(wall_out == nullptr || wall_out->size() == size(),
                "wall_out size mismatch");
+  ReserveWorkspaces();
   auto body = [&](std::size_t i) {
     if (wall_out != nullptr) {
       const double t0 = engine::ThreadPool::ThreadSeconds();
@@ -146,6 +150,7 @@ void WorkerSet::XWStepAll(std::span<const simnet::Rank> ranks,
   PSRA_REQUIRE(flops_out.size() == size(), "flops_out size mismatch");
   PSRA_REQUIRE(wall_out == nullptr || wall_out->size() == size(),
                "wall_out size mismatch");
+  ReserveWorkspaces();
   auto body = [&](std::size_t k) {
     const auto i = static_cast<std::size_t>(ranks[k]);
     if (wall_out != nullptr) {
@@ -276,6 +281,13 @@ WorkerSet::Residuals WorkerSet::ComputeResiduals(
   res.x_norm = std::sqrt(x_sq);
   res.y_norm = std::sqrt(y_sq);
   res.z_norm = sqrt_n * linalg::Norm2(mean_scratch_);
+  return res;
+}
+
+WorkerSet::Residuals WorkerSet::AdvanceResiduals(
+    linalg::DenseVector& z_prev_mean) {
+  const Residuals res = ComputeResiduals(z_prev_mean);
+  std::swap(z_prev_mean, mean_scratch_);
   return res;
 }
 

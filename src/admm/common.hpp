@@ -273,6 +273,12 @@ class WorkerSet {
   };
   Residuals ComputeResiduals(std::span<const double> z_prev_mean) const;
 
+  /// ComputeResiduals against `z_prev_mean`, then advances it to this
+  /// iteration's MeanZ by swapping in the mean the residuals just computed:
+  /// bitwise the same as ComputeResiduals followed by MeanZInto, without
+  /// the second reduction over all workers' z.
+  Residuals AdvanceResiduals(linalg::DenseVector& z_prev_mean);
+
   /// Evaluates the Boyd-style stopping test.
   static bool ShouldStop(const StoppingConfig& cfg, const Residuals& res,
                          std::uint64_t num_workers, std::uint64_t dim);
@@ -286,15 +292,22 @@ class WorkerSet {
                            const engine::TimeLedger& ledger) const;
 
  private:
+  /// Sizes tron_ws_ to the current pool's thread slots (a no-op once warm).
+  void ReserveWorkspaces();
+
   const ConsensusProblem* problem_;
   const RunOptions* options_;
   double rho_;
   std::vector<solver::ProximalLogistic> local_;
   std::vector<linalg::DenseVector> x_, y_, w_, z_;
-  // Preallocated per-worker TRON workspaces and reduction scratch. Mutable
-  // because they are caches: const methods (ComputeResiduals, MeanZInto)
-  // recycle them instead of allocating per call.
-  mutable std::vector<solver::TronWorkspace> tron_ws_;
+  // TRON workspaces, one per host thread slot of the pool (one without a
+  // pool), not one per worker: a solve leaves no state in its workspace,
+  // and a thread that reuses one set finds it in its core's cache for every
+  // worker it runs, where per-worker sets were cold at each solve.
+  std::vector<solver::TronWorkspace> tron_ws_;
+  // Preallocated reduction scratch. Mutable because it is a cache: const
+  // methods (ComputeResiduals, MeanZInto) recycle it instead of allocating
+  // per call.
   mutable linalg::DenseVector mean_scratch_;
   mutable std::vector<double> norm_primal_, norm_x_, norm_y_;
 };

@@ -1324,8 +1324,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     // ---- Residuals, adaptive penalty, stopping ---------------------------
     // Residual norms piggyback on the existing aggregation traffic (two
     // scalars), so no extra virtual time is charged.
-    const WorkerSet::Residuals residuals = ws.ComputeResiduals(z_prev_mean);
-    ws.MeanZInto(z_prev_mean);
+    const WorkerSet::Residuals residuals = ws.AdvanceResiduals(z_prev_mean);
     const double rho_now = ws.MaybeAdaptRho(options.adaptive_rho, residuals);
 
     // ---- Convergence timeline (one row per iteration) --------------------

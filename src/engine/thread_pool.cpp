@@ -9,6 +9,10 @@ namespace {
 // (pool worker running chunks, or a caller thread between publish and
 // drain). Nested ParallelFor calls from such threads run serially inline.
 thread_local bool t_in_parallel_region = false;
+// The pool whose resident worker this thread is (null elsewhere) and its
+// CurrentSlot() there.
+thread_local const ThreadPool* t_pool = nullptr;
+thread_local std::size_t t_slot = 0;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -21,8 +25,12 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   serial_dispatch_ = std::thread::hardware_concurrency() == 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
   }
+}
+
+std::size_t ThreadPool::CurrentSlot() const {
+  return t_pool == this ? t_slot : 0;
 }
 
 double ThreadPool::ThreadSeconds() {
@@ -57,7 +65,9 @@ void ThreadPool::RunChunks(BlockFn fn, void* ctx, std::size_t count,
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(std::size_t slot) {
+  t_pool = this;
+  t_slot = slot;
   std::uint64_t seen_generation = 0;
   for (;;) {
     BlockFn fn;

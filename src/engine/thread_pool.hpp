@@ -38,6 +38,16 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// Threads that can run bodies of one region at once: the resident
+  /// workers plus the calling thread.
+  std::size_t slots() const { return workers_.size() + 1; }
+
+  /// The calling thread's index in [0, slots()): 1 + k on this pool's
+  /// resident worker k, 0 on any other thread (a region's caller, or a
+  /// serial fallback). Bodies running at the same time see distinct slots,
+  /// so a body can index per-thread scratch by it.
+  std::size_t CurrentSlot() const;
+
   /// Tests only: disable the single-core inline shortcut so the worker
   /// broadcast path runs even on a 1-CPU host.
   void ForceParallelDispatchForTesting() { serial_dispatch_ = false; }
@@ -83,7 +93,7 @@ class ThreadPool {
   using BlockFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
   void RunBlocked(std::size_t count, std::size_t grain, BlockFn fn, void* ctx);
-  void WorkerLoop();
+  void WorkerLoop(std::size_t slot);
   void RunChunks(BlockFn fn, void* ctx, std::size_t count, std::size_t grain);
 
   std::vector<std::thread> workers_;

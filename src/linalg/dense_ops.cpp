@@ -3,9 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/lane4.hpp"
 #include "support/status.hpp"
 
 namespace psra::linalg {
+
+namespace {
+
+/// sum_i v_i^2 in the four-lane order (the body of Norm2 and CopyNormSq).
+double SquaredSum4(const double* v, std::size_t n) {
+  Lane4 acc = {}, vv = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    Load4(vv, v + i);
+    acc += vv * vv;
+  }
+  double a0 = acc[0];
+  for (; i < n; ++i) a0 += v[i] * v[i];
+  return Fold4(acc, a0);
+}
+
+}  // namespace
 
 void Axpy(double alpha, std::span<const double> x, std::span<double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "axpy dimension mismatch");
@@ -20,56 +38,83 @@ double AxpyNormSq(double alpha, std::span<const double> x,
                   std::span<double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "axpy-normsq dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  Lane4 acc = {}, xv = {}, t = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double t0 = y[i] + alpha * x[i];
-    const double t1 = y[i + 1] + alpha * x[i + 1];
-    const double t2 = y[i + 2] + alpha * x[i + 2];
-    const double t3 = y[i + 3] + alpha * x[i + 3];
-    y[i] = t0;
-    y[i + 1] = t1;
-    y[i + 2] = t2;
-    y[i + 3] = t3;
-    a0 += t0 * t0;
-    a1 += t1 * t1;
-    a2 += t2 * t2;
-    a3 += t3 * t3;
+    Load4(xv, x.data() + i);
+    Load4(t, y.data() + i);
+    t = t + alpha * xv;
+    Store4(y.data() + i, t);
+    acc += t * t;
   }
+  double a0 = acc[0];
   for (; i < n; ++i) {
-    const double t = y[i] + alpha * x[i];
-    y[i] = t;
-    a0 += t * t;
+    const double ti = y[i] + alpha * x[i];
+    y[i] = ti;
+    a0 += ti * ti;
   }
-  return (a0 + a1) + (a2 + a3);
+  return Fold4(acc, a0);
 }
 
-double XpayNormSq(double beta, std::span<const double> x,
-                  std::span<double> y) {
-  PSRA_REQUIRE(x.size() == y.size(), "xpay-normsq dimension mismatch");
-  const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+void DualAxpyNormSq(double alpha, std::span<const double> p,
+                    std::span<double> s, std::span<const double> q,
+                    std::span<const double> r, std::span<double> r_out,
+                    double& ss, double& rr) {
+  PSRA_REQUIRE(p.size() == s.size() && p.size() == q.size() &&
+                   p.size() == r.size() && p.size() == r_out.size(),
+               "dual-axpy-normsq dimension mismatch");
+  const std::size_t n = p.size();
+  const double nalpha = -alpha;
+  Lane4 acc_s = {}, acc_r = {}, pv = {}, qv = {}, sv = {}, rv = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double t0 = x[i] + beta * y[i];
-    const double t1 = x[i + 1] + beta * y[i + 1];
-    const double t2 = x[i + 2] + beta * y[i + 2];
-    const double t3 = x[i + 3] + beta * y[i + 3];
-    y[i] = t0;
-    y[i + 1] = t1;
-    y[i + 2] = t2;
-    y[i + 3] = t3;
-    a0 += t0 * t0;
-    a1 += t1 * t1;
-    a2 += t2 * t2;
-    a3 += t3 * t3;
+    Load4(pv, p.data() + i);
+    Load4(sv, s.data() + i);
+    sv = sv + alpha * pv;
+    Store4(s.data() + i, sv);
+    acc_s += sv * sv;
+    Load4(qv, q.data() + i);
+    Load4(rv, r.data() + i);
+    rv = rv + nalpha * qv;
+    Store4(r_out.data() + i, rv);
+    acc_r += rv * rv;
   }
+  double s0 = acc_s[0], r0 = acc_r[0];
   for (; i < n; ++i) {
-    const double t = x[i] + beta * y[i];
-    y[i] = t;
-    a0 += t * t;
+    const double si = s[i] + alpha * p[i];
+    s[i] = si;
+    s0 += si * si;
+    const double ri = r[i] + nalpha * q[i];
+    r_out[i] = ri;
+    r0 += ri * ri;
   }
-  return (a0 + a1) + (a2 + a3);
+  ss = Fold4(acc_s, s0);
+  rr = Fold4(acc_r, r0);
+}
+
+double XpayNormSq(double beta, std::span<const double> x, std::span<double> y,
+                  double scale, std::span<double> scaled) {
+  PSRA_REQUIRE(x.size() == y.size() && x.size() == scaled.size(),
+               "xpay-normsq dimension mismatch");
+  const std::size_t n = x.size();
+  Lane4 acc = {}, xv = {}, t = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    Load4(xv, x.data() + i);
+    Load4(t, y.data() + i);
+    t = xv + beta * t;
+    Store4(y.data() + i, t);
+    Store4(scaled.data() + i, scale * t);
+    acc += t * t;
+  }
+  double a0 = acc[0];
+  for (; i < n; ++i) {
+    const double ti = x[i] + beta * y[i];
+    y[i] = ti;
+    scaled[i] = scale * ti;
+    a0 += ti * ti;
+  }
+  return Fold4(acc, a0);
 }
 
 double CopyNormSq(std::span<const double> src, std::span<double> dst,
@@ -77,23 +122,8 @@ double CopyNormSq(std::span<const double> src, std::span<double> dst,
   PSRA_REQUIRE(src.size() == dst.size() && src.size() == v.size(),
                "copy-normsq dimension mismatch");
   const std::size_t n = src.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    dst[i] = src[i];
-    dst[i + 1] = src[i + 1];
-    dst[i + 2] = src[i + 2];
-    dst[i + 3] = src[i + 3];
-    a0 += v[i] * v[i];
-    a1 += v[i + 1] * v[i + 1];
-    a2 += v[i + 2] * v[i + 2];
-    a3 += v[i + 3] * v[i + 3];
-  }
-  for (; i < n; ++i) {
-    dst[i] = src[i];
-    a0 += v[i] * v[i];
-  }
-  return (a0 + a1) + (a2 + a3);
+  std::copy(src.begin(), src.end(), dst.begin());
+  return SquaredSum4(v.data(), n);
 }
 
 void Gemv(std::span<const double> a, std::size_t rows, std::size_t cols,
@@ -187,30 +217,20 @@ void GemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
 double Dot(std::span<const double> x, std::span<const double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "dot dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  Lane4 acc = {}, xv = {}, yv = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    a0 += x[i] * y[i];
-    a1 += x[i + 1] * y[i + 1];
-    a2 += x[i + 2] * y[i + 2];
-    a3 += x[i + 3] * y[i + 3];
+    Load4(xv, x.data() + i);
+    Load4(yv, y.data() + i);
+    acc += xv * yv;
   }
+  double a0 = acc[0];
   for (; i < n; ++i) a0 += x[i] * y[i];
-  return (a0 + a1) + (a2 + a3);
+  return Fold4(acc, a0);
 }
 
 double Norm2(std::span<const double> x) {
-  const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += x[i] * x[i];
-    a1 += x[i + 1] * x[i + 1];
-    a2 += x[i + 2] * x[i + 2];
-    a3 += x[i + 3] * x[i + 3];
-  }
-  for (; i < n; ++i) a0 += x[i] * x[i];
-  return std::sqrt((a0 + a1) + (a2 + a3));
+  return std::sqrt(SquaredSum4(x.data(), x.size()));
 }
 
 double Norm1(std::span<const double> x) {
@@ -228,23 +248,20 @@ double NormInf(std::span<const double> x) {
 double DistanceL2(std::span<const double> x, std::span<const double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "distance dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  Lane4 acc = {}, xv = {}, yv = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double d0 = x[i] - y[i];
-    const double d1 = x[i + 1] - y[i + 1];
-    const double d2 = x[i + 2] - y[i + 2];
-    const double d3 = x[i + 3] - y[i + 3];
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
+    Load4(xv, x.data() + i);
+    Load4(yv, y.data() + i);
+    const Lane4 dv = xv - yv;
+    acc += dv * dv;
   }
+  double a0 = acc[0];
   for (; i < n; ++i) {
     const double d = x[i] - y[i];
     a0 += d * d;
   }
-  return std::sqrt((a0 + a1) + (a2 + a3));
+  return std::sqrt(Fold4(acc, a0));
 }
 
 void Add(std::span<const double> x, std::span<const double> y,

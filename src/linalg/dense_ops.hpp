@@ -18,19 +18,30 @@ void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 // Fused BLAS-1 kernels (DESIGN.md §14). Each combines an update with the
 // reduction the solver needs next, so the vector is streamed once instead of
-// twice. All reductions use the same four-lane accumulator order as Dot, so
-// results are deterministic and identical to the unfused
-// update-then-reduce pair the TRON inner loop used to hand-roll.
+// twice. All reductions use the same four-lane accumulator order as Dot
+// (DESIGN.md "FP determinism"), so results are deterministic and identical
+// to an update-then-Dot pair.
 
 /// y += alpha * x, returning ||y||^2 (four-lane order).
 double AxpyNormSq(double alpha, std::span<const double> x,
                   std::span<double> y);
 
-/// y = x + beta * y, returning ||y||^2 (four-lane order). This is the CG
-/// direction update p = r + beta p.
-double XpayNormSq(double beta, std::span<const double> x, std::span<double> y);
+/// The truncated-CG step in one pass: s += alpha * p and
+/// r_out = r - alpha * q, with ss = ||s||^2 and rr = ||r_out||^2 (four-lane
+/// order). r is left untouched, so a caller that rejects the step still has
+/// it. r_out must not alias r.
+void DualAxpyNormSq(double alpha, std::span<const double> p,
+                    std::span<double> s, std::span<const double> q,
+                    std::span<const double> r, std::span<double> r_out,
+                    double& ss, double& rr);
 
-/// dst = src, fused with ||v||^2 over a third vector (four-lane order).
+/// y = x + beta * y and scaled = scale * y (the new y), returning ||y||^2
+/// (four-lane order). This is the CG direction update p = r + beta p, which
+/// also seeds the next Hessian product's rho * p term.
+double XpayNormSq(double beta, std::span<const double> x, std::span<double> y,
+                  double scale, std::span<double> scaled);
+
+/// dst = src, plus ||v||^2 over a third vector (four-lane order).
 /// TRON's accept-copy: x = x_new while re-measuring the new gradient norm.
 double CopyNormSq(std::span<const double> src, std::span<double> dst,
                   std::span<const double> v);

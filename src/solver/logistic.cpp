@@ -18,6 +18,37 @@ inline double Sigmoid(double margin) {
   const double e = std::exp(margin);
   return e / (1.0 + e);
 }
+
+/// The feature-dimension pass of ValueAndGradient: continues the value and
+/// prox chains, writes grad = v + rho (x - z), and with kStep also carries
+/// the three StepDots chains. Every chain is strict index order, so the
+/// kStep variant leaves value/prox/grad bitwise unchanged.
+template <bool kStep>
+void ProxPass(std::span<const double> x, std::span<const double> v,
+              std::span<const double> z, double rho, std::span<double> grad,
+              double& value, double& prox, StepDots* dots) {
+  double val = value, pr = 0.0, gs = 0.0, sr = 0.0, sq = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    val += x[i] * v[i];
+    const double d = x[i] - z[i];
+    pr += d * d;
+    grad[i] = v[i] + rho * d;
+    if constexpr (kStep) {
+      const double si = dots->step[i];
+      gs += dots->grad[i] * si;
+      sr += dots->residual[i] * si;
+      sq += si * si;
+    }
+  }
+  value = val;
+  prox = pr;
+  if constexpr (kStep) {
+    dots->gs = gs;
+    dots->sr = sr;
+    dots->sq = sq;
+  }
+}
+
 }  // namespace
 
 double LogisticValue(const data::Dataset& ds, std::span<const double> x,
@@ -104,9 +135,14 @@ double ProximalLogistic::Value(std::span<const double> x,
 
 double ProximalLogistic::ValueAndGradient(std::span<const double> x,
                                           std::span<double> grad,
-                                          FlopCounter* flops) const {
+                                          FlopCounter* flops,
+                                          StepDots* dots) const {
   PSRA_REQUIRE(x.size() == dim() && grad.size() == dim(),
                "dimension mismatch");
+  PSRA_REQUIRE(dots == nullptr ||
+                   (dots->step.size() == dim() && dots->grad.size() == dim() &&
+                    dots->residual.size() == dim()),
+               "step dot dimension mismatch");
   PSRA_REQUIRE(!v_.empty() && !z_.empty(),
                "SetIterationTerms must be called first");
   const auto& m = shard_->features();
@@ -141,11 +177,10 @@ double ProximalLogistic::ValueAndGradient(std::span<const double> x,
   // Proximal and linear parts, written directly into grad; the sparse
   // logistic part is accumulated on top, saving a zero-fill pass.
   double prox = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    value += x[i] * v_[i];
-    const double d = x[i] - z_[i];
-    prox += d * d;
-    grad[i] = v_[i] + rho_ * d;
+  if (dots == nullptr) {
+    ProxPass<false>(x, v_, z_, rho_, grad, value, prox, nullptr);
+  } else {
+    ProxPass<true>(x, v_, z_, rho_, grad, value, prox, dots);
   }
   value += 0.5 * rho_ * prox;
   m.TransposeMultiplyAdd(coeff_, grad);
@@ -223,7 +258,8 @@ double ProximalLogistic::HessianVecQuad(std::span<const double> d, double dd,
     quad += wmd * md;
     hessvec_tmp_[s] = wmd;
   }
-  for (std::size_t i = 0; i < d.size(); ++i) out[i] = rho_ * d[i];
+  // out already holds rho * d (the caller's seed); the 2 d flops of that
+  // term stay charged here.
   m.TransposeMultiplyAdd(hessvec_tmp_, out);
 
   if (flops != nullptr) {

@@ -21,6 +21,19 @@ namespace psra::solver {
 double LogisticValue(const data::Dataset& ds, std::span<const double> x,
                      FlopCounter* flops = nullptr);
 
+/// Inner products of a TRON trial step, accumulated inside the
+/// ValueAndGradient pass over the feature dimension at x_new = x + step
+/// (one strict-order pass instead of two; see TronMinimize). Each is a
+/// single sequential chain in index order.
+struct StepDots {
+  std::span<const double> step;      // s
+  std::span<const double> grad;      // g at the current iterate
+  std::span<const double> residual;  // final CG residual r
+  double gs = 0.0;                   // <g, s>
+  double sr = 0.0;                   // <s, r>
+  double sq = 0.0;                   // <s, s>
+};
+
 class ProximalLogistic {
  public:
   /// `shard` must outlive this object. rho >= 0; v and z have the feature
@@ -52,9 +65,12 @@ class ProximalLogistic {
   /// phi(x); also caches the per-sample margins for the follow-up gradient.
   double Value(std::span<const double> x, FlopCounter* flops = nullptr) const;
 
-  /// grad = nabla phi(x). Returns phi(x).
+  /// grad = nabla phi(x). Returns phi(x). When `dots` is non-null its
+  /// products are accumulated in the same pass (the spans must have size
+  /// dim() and must not alias grad); the flop charge is unchanged.
   double ValueAndGradient(std::span<const double> x, std::span<double> grad,
-                          FlopCounter* flops = nullptr) const;
+                          FlopCounter* flops = nullptr,
+                          StepDots* dots = nullptr) const;
 
   /// Prepares Hessian state at x (per-sample sigma weights); must be called
   /// before HessianVec.
@@ -75,7 +91,10 @@ class ProximalLogistic {
 
   /// HessianVec plus the quadratic form: returns d^T H d, with <d, d> = `dd`
   /// supplied by the caller (CG maintains it via a recurrence, so the
-  /// quadratic costs no extra pass over the feature dimension).
+  /// quadratic costs no extra pass over the feature dimension). `out` must
+  /// hold rho() * d on entry: CG writes it in its direction update, so the
+  /// matrix-free path accumulates A^T D A d onto it without an init pass of
+  /// its own (the Gram path overwrites it).
   double HessianVecQuad(std::span<const double> d, double dd,
                         std::span<double> out,
                         FlopCounter* flops = nullptr) const;

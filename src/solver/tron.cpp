@@ -17,23 +17,27 @@ struct CgOutcome {
 };
 
 /// Steihaug-Toint truncated CG: approximately solves H s = -g subject to
-/// ||s|| <= delta. `s` is overwritten with the step; r/p/hp are caller-owned
-/// working vectors of the same dimension. `gg` is the caller's <grad, grad>
-/// (r starts as -grad elementwise, so it doubles as the initial <r, r>).
-/// On return r holds the final CG residual -g - H s, which the caller uses
-/// to price the quadratic model without another Hessian product.
+/// ||s|| <= delta. `s` is overwritten with the step; r/p/hp/r_next are
+/// caller-owned working vectors of the same dimension. `gg` is the caller's
+/// <grad, grad> (r starts as -grad elementwise, so it doubles as the initial
+/// <r, r>). On return r holds the final CG residual -g - H s, which the
+/// caller uses to price the quadratic model without another Hessian product.
+/// r and r_next may have swapped storage by then.
 CgOutcome TruncatedCg(const ProximalLogistic& f, std::span<const double> grad,
                       double gg, double delta, const TronOptions& opt,
                       std::span<double> s, FlopCounter* flops,
                       linalg::DenseVector& r, linalg::DenseVector& p,
-                      linalg::DenseVector& hp) {
+                      linalg::DenseVector& hp, linalg::DenseVector& r_next) {
   const std::size_t d = grad.size();
-  // s = 0, r = -grad, p = r in a single sweep.
+  const double rho = f.rho();
+  // s = 0, r = -grad, p = r in a single sweep, plus hp = rho p: the seed
+  // HessianVecQuad accumulates the data term onto.
   for (std::size_t i = 0; i < d; ++i) {
     s[i] = 0.0;
     const double ri = -grad[i];
     r[i] = ri;
     p[i] = ri;
+    hp[i] = rho * ri;
   }
 
   double rr = gg;
@@ -69,20 +73,24 @@ CgOutcome TruncatedCg(const ProximalLogistic& f, std::span<const double> grad,
     }
 
     const double alpha = rr / php;
-    // Optimistic s += alpha p fused with ||s||^2; stepped back below in the
-    // (rare) boundary case instead of paying a read-only probe pass on the
-    // common interior path (LIBLINEAR does the same).
-    if (linalg::AxpyNormSq(alpha, p, s) >= delta * delta) {
+    // Optimistic s += alpha p and r - alpha hp in one pass with both
+    // squared norms. The new residual goes to r_next, so the (rare)
+    // boundary case below steps s back and still finds the old r, without
+    // a read-only probe pass on the common interior path (LIBLINEAR steps
+    // back the same way).
+    double ss = 0.0, rr_new = 0.0;
+    linalg::DualAxpyNormSq(alpha, p, s, hp, r, r_next, ss, rr_new);
+    if (ss >= delta * delta) {
       linalg::Axpy(-alpha, p, s);
       to_boundary();
       break;
     }
+    std::swap(r, r_next);
 
-    // Fused residual update + <r, r>, then p = r + beta p fused with <p, p>
-    // for the next quadratic/boundary use.
-    const double rr_new = linalg::AxpyNormSq(-alpha, hp, r);
+    // p = r + beta p fused with <p, p> for the next quadratic/boundary use,
+    // and with the next product's seed hp = rho p.
     const double beta = rr_new / rr;
-    pp = linalg::XpayNormSq(beta, r, p);
+    pp = linalg::XpayNormSq(beta, r, p, rho, hp);
     rr = rr_new;
   }
   return out;
@@ -144,29 +152,26 @@ TronResult TronMinimize(const ProximalLogistic& f, std::span<double> x,
     } else {
       f.PrepareHessian(x, flops);
     }
+    // x_new is idle until the trial step, so CG borrows it as the
+    // double buffer for its residual.
     const CgOutcome cg = TruncatedCg(f, ws.grad, gg, delta, opt, ws.step,
-                                     flops, ws.cg_r, ws.cg_p, ws.cg_hp);
+                                     flops, ws.cg_r, ws.cg_p, ws.cg_hp,
+                                     ws.x_new);
     res.cg_iterations += cg.iterations;
 
     // Predicted reduction from the quadratic model. The CG residual
     // r = -g - H s gives s^T H s = -(g^T s + r^T s), so
     //   -(g^T s + 0.5 s^T H s) = -0.5 (g^T s - r^T s)
     // without another Hessian product (LIBLINEAR's trcg pricing). The dots
-    // ride along with the trial-point pass: one sweep over the step instead
-    // of four.
-    double gs = 0.0, sr = 0.0, sq = 0.0;
-    for (std::size_t i = 0; i < d; ++i) {
-      const double si = ws.step[i];
-      ws.x_new[i] = x[i] + si;
-      gs += ws.grad[i] * si;
-      sr += ws.cg_r[i] * si;
-      sq += si * si;
-    }
-    const double predicted = -0.5 * (gs - sr);
-    const double snorm = std::sqrt(sq);
+    // ride along with the evaluation's own pass over x_new, so the
+    // strict-order chains cost one sweep per iteration, not two.
+    for (std::size_t i = 0; i < d; ++i) ws.x_new[i] = x[i] + ws.step[i];
     if (flops != nullptr) flops->Add(7.0 * static_cast<double>(d));
-
-    const double value_new = f.ValueAndGradient(ws.x_new, ws.grad_new, flops);
+    StepDots dots{ws.step, ws.grad, ws.cg_r};
+    const double value_new =
+        f.ValueAndGradient(ws.x_new, ws.grad_new, flops, &dots);
+    const double predicted = -0.5 * (dots.gs - dots.sr);
+    const double snorm = std::sqrt(dots.sq);
     const double actual = value - value_new;
     grad_eval_at_x = false;  // sigmas now cached at x_new; set true on accept
 

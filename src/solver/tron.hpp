@@ -42,9 +42,10 @@ struct TronResult {
 };
 
 /// Preallocated working vectors for TronMinimize. Callers that solve the
-/// same-dimension subproblem every iteration (the ADMM x-update) keep one
-/// workspace per worker and pass it to every call, making the solve
-/// allocation-free in steady state.
+/// same-dimension subproblem every iteration (the ADMM x-update) pass the
+/// same workspace to every call, making the solve allocation-free in steady
+/// state. A solve leaves no state behind, so one workspace can serve any
+/// number of subproblems in turn (WorkerSet keeps one per host thread).
 struct TronWorkspace {
   linalg::DenseVector grad;
   linalg::DenseVector grad_new;

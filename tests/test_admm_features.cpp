@@ -9,6 +9,8 @@
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
 #include "linalg/dense_ops.hpp"
+#include "scalar_kernels.hpp"
+#include "support/rng.hpp"
 #include "support/status.hpp"
 
 namespace psra::admm {
@@ -72,6 +74,60 @@ TEST(Residuals, WorkerSetComputesConsistentNorms) {
   const auto res2 = ws.ComputeResiduals(z_prev);
   EXPECT_DOUBLE_EQ(res2.primal, 2.0);
   EXPECT_DOUBLE_EQ(res2.x_norm, 2.0);
+}
+
+// The fused per-worker norms against the scalar four-lane references, and
+// AdvanceResiduals against the ComputeResiduals + MeanZInto pair it
+// replaces in the engines: all bitwise.
+TEST(Residuals, AdvanceResidualsMatchesScalarReferenceBitwise) {
+  auto spec = TinySpec();
+  spec.num_features = 83;  // a lane tail of 3
+  const auto p = BuildProblem(spec, 3);
+  RunOptions opt;
+  WorkerSet ws(&p, &opt);
+  Rng rng(8);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    for (auto& e : ws.x(i)) e = rng.NextGaussian();
+    for (auto& e : ws.y(i)) e = rng.NextGaussian();
+    for (auto& e : ws.z(i)) e = rng.NextGaussian();
+  }
+  linalg::DenseVector z_prev(p.dim());
+  for (auto& e : z_prev) e = rng.NextGaussian();
+
+  const auto old_res = ws.ComputeResiduals(z_prev);
+  linalg::DenseVector mean;
+  ws.MeanZInto(mean);
+  linalg::DenseVector advanced = z_prev;
+  const auto res = ws.AdvanceResiduals(advanced);
+
+  double primal_sq = 0.0, x_sq = 0.0, y_sq = 0.0;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const double dist = testref::DistanceL2_4(ws.x(i), ws.z(i));
+    const double nx = testref::Norm2_4(ws.x(i));
+    const double ny = testref::Norm2_4(ws.y(i));
+    primal_sq += dist * dist;
+    x_sq += nx * nx;
+    y_sq += ny * ny;
+  }
+  const double sqrt_n = std::sqrt(static_cast<double>(ws.size()));
+  using testref::Bits;
+  EXPECT_EQ(Bits(res.primal), Bits(std::sqrt(primal_sq)));
+  EXPECT_EQ(Bits(res.x_norm), Bits(std::sqrt(x_sq)));
+  EXPECT_EQ(Bits(res.y_norm), Bits(std::sqrt(y_sq)));
+  EXPECT_EQ(Bits(res.dual),
+            Bits(ws.rho() * sqrt_n * testref::DistanceL2_4(mean, z_prev)));
+  EXPECT_EQ(Bits(res.z_norm), Bits(sqrt_n * testref::Norm2_4(mean)));
+  for (const auto& [a, b] : {std::pair{res.primal, old_res.primal},
+                             {res.dual, old_res.dual},
+                             {res.x_norm, old_res.x_norm},
+                             {res.y_norm, old_res.y_norm},
+                             {res.z_norm, old_res.z_norm}}) {
+    EXPECT_EQ(Bits(a), Bits(b));
+  }
+  ASSERT_EQ(advanced.size(), mean.size());
+  for (std::size_t j = 0; j < mean.size(); ++j) {
+    EXPECT_EQ(Bits(advanced[j]), Bits(mean[j])) << "coordinate " << j;
+  }
 }
 
 // ----------------------------------------------------------- adaptive rho ----

@@ -141,6 +141,39 @@ TEST(ThreadPoolChunked, NestedCallsRunInline) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
+// Per-thread scratch indexed by CurrentSlot() must never be shared by two
+// bodies running at once: each body marks its slot busy and checks nobody
+// else holds it.
+TEST(ThreadPool, CurrentSlotIsExclusivePerRunningBody) {
+  ThreadPool pool(3);
+  pool.ForceParallelDispatchForTesting();
+  ASSERT_EQ(pool.slots(), 4u);
+  EXPECT_EQ(pool.CurrentSlot(), 0u);  // the calling thread
+  std::vector<std::atomic<int>> busy(pool.slots());
+  std::atomic<int> out_of_range{0}, shared{0};
+  pool.ParallelFor(400, [&](std::size_t) {
+    const std::size_t slot = pool.CurrentSlot();
+    if (slot >= busy.size()) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    if (busy[slot].fetch_add(1) != 0) shared.fetch_add(1);
+    volatile double sink = 0.0;
+    for (int k = 0; k < 2000; ++k) sink = sink + k;
+    busy[slot].fetch_sub(1);
+  });
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(shared.load(), 0);
+  // Another pool's threads are not this pool's workers.
+  ThreadPool other(2);
+  other.ForceParallelDispatchForTesting();
+  std::atomic<int> foreign{0};
+  other.ParallelFor(8, [&](std::size_t) {
+    if (pool.CurrentSlot() != 0) foreign.fetch_add(1);
+  });
+  EXPECT_EQ(foreign.load(), 0);
+}
+
 // ---------------------------------------------------------- BlockedReduce ----
 
 TEST(BlockedReduce, MatchesSerialSumBitwise) {

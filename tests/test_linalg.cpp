@@ -9,6 +9,7 @@
 #include "linalg/dense_ops.hpp"
 #include "linalg/gram.hpp"
 #include "linalg/sparse_vector.hpp"
+#include "scalar_kernels.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 
@@ -352,15 +353,18 @@ TEST(DenseOps, AxpyNormSqUpdatesAndMatchesDotBitwise) {
 
 TEST(DenseOps, XpayNormSqUpdatesAndMatchesDotBitwise) {
   Rng rng(22);
-  DenseVector x(41), y(41);
+  DenseVector x(41), y(41), scaled(41);
   for (auto& e : x) e = rng.NextGaussian();
   for (auto& e : y) e = rng.NextGaussian();
   auto expected = y;
+  auto expected_scaled = y;
   for (std::size_t i = 0; i < y.size(); ++i) {
     expected[i] = x[i] + -0.8 * expected[i];
+    expected_scaled[i] = 1.7 * expected[i];
   }
-  const double nrm = XpayNormSq(-0.8, x, y);
+  const double nrm = XpayNormSq(-0.8, x, y, 1.7, scaled);
   EXPECT_EQ(y, expected);
+  EXPECT_EQ(scaled, expected_scaled);
   EXPECT_EQ(nrm, Dot(y, y));
 }
 
@@ -377,9 +381,85 @@ TEST(DenseOps, CopyNormSqCopiesAndMatchesDotBitwise) {
 TEST(DenseOps, FusedKernelDimensionChecks) {
   DenseVector a(3), b(4);
   EXPECT_THROW(AxpyNormSq(1.0, a, b), InvalidArgument);
-  EXPECT_THROW(XpayNormSq(1.0, a, b), InvalidArgument);
+  EXPECT_THROW(XpayNormSq(1.0, a, b, 1.0, b), InvalidArgument);
+  EXPECT_THROW(XpayNormSq(1.0, b, b, 1.0, a), InvalidArgument);
+  double ss = 0.0, rr = 0.0;
+  EXPECT_THROW(DualAxpyNormSq(1.0, a, a, a, a, b, ss, rr), InvalidArgument);
   EXPECT_THROW(CopyNormSq(a, b, a), InvalidArgument);
 }
+
+// The vector kernels against the scalar four-lane references of
+// scalar_kernels.hpp, bit for bit, at lengths covering the empty vector, a
+// pure tail, exactly one lane block, block + tail, and the url_tall and
+// news20 feature dimensions.
+class LaneKernelBitwise : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  DenseVector Random(std::uint64_t seed) const {
+    Rng rng(seed);
+    DenseVector v(GetParam());
+    for (auto& e : v) e = rng.NextGaussian();
+    return v;
+  }
+};
+
+void ExpectSameBits(std::span<const double> got, std::span<const double> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(testref::Bits(got[i]), testref::Bits(want[i])) << "element " << i;
+  }
+}
+
+TEST_P(LaneKernelBitwise, Reductions) {
+  const auto x = Random(1), y = Random(2);
+  EXPECT_EQ(testref::Bits(Dot(x, y)), testref::Bits(testref::Dot4(x, y)));
+  EXPECT_EQ(testref::Bits(Norm2(x)), testref::Bits(testref::Norm2_4(x)));
+  EXPECT_EQ(testref::Bits(DistanceL2(x, y)),
+            testref::Bits(testref::DistanceL2_4(x, y)));
+}
+
+TEST_P(LaneKernelBitwise, FusedUpdates) {
+  const auto x = Random(3), y0 = Random(4), v = Random(5);
+
+  auto y = y0, y_ref = y0;
+  EXPECT_EQ(testref::Bits(AxpyNormSq(0.37, x, y)),
+            testref::Bits(testref::AxpyNormSq4(0.37, x, y_ref)));
+  ExpectSameBits(y, y_ref);
+
+  y = y0;
+  y_ref = y0;
+  DenseVector scaled(x.size()), scaled_ref(x.size());
+  EXPECT_EQ(testref::Bits(XpayNormSq(-0.8, x, y, 1.7, scaled)),
+            testref::Bits(testref::XpayNormSq4(-0.8, x, y_ref)));
+  for (std::size_t i = 0; i < x.size(); ++i) scaled_ref[i] = 1.7 * y_ref[i];
+  ExpectSameBits(y, y_ref);
+  ExpectSameBits(scaled, scaled_ref);
+
+  DenseVector dst(x.size(), 0.0), dst_ref(x.size(), 0.0);
+  EXPECT_EQ(testref::Bits(CopyNormSq(x, dst, v)),
+            testref::Bits(testref::CopyNormSq4(x, dst_ref, v)));
+  ExpectSameBits(dst, dst_ref);
+}
+
+// DualAxpyNormSq is the truncated-CG step: s += a p and r_out = r - a q in
+// one pass, equal to the two AxpyNormSq calls it replaced (r_out = r + (-a) q
+// on a copy of r), with r itself untouched.
+TEST_P(LaneKernelBitwise, DualAxpyMatchesTwoAxpys) {
+  const auto p = Random(6), q = Random(7), s0 = Random(8), r = Random(9);
+  auto s = s0, s_ref = s0, r_ref = r;
+  DenseVector r_out(p.size(), 0.0);
+  double ss = 0.0, rr = 0.0;
+  DualAxpyNormSq(0.61, p, s, q, r, r_out, ss, rr);
+  const double ss_ref = testref::AxpyNormSq4(0.61, p, s_ref);
+  const double rr_ref = testref::AxpyNormSq4(-0.61, q, r_ref);
+  EXPECT_EQ(testref::Bits(ss), testref::Bits(ss_ref));
+  EXPECT_EQ(testref::Bits(rr), testref::Bits(rr_ref));
+  ExpectSameBits(s, s_ref);
+  ExpectSameBits(r_out, r_ref);
+  ExpectSameBits(r, Random(9));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, LaneKernelBitwise,
+                         ::testing::Values(0, 1, 3, 4, 5, 193, 13551));
 
 // The blocked Gemv/GemvT use a different (fixed, deterministic) summation
 // order than a naive loop, so they are compared against row dots within a

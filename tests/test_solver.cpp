@@ -2,11 +2,15 @@
 // differences), TRON convergence, proximal z-update, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
+#include "scalar_kernels.hpp"
 #include "solver/direct.hpp"
 #include "solver/logistic.hpp"
 #include "solver/metrics.hpp"
@@ -310,6 +314,286 @@ TEST(GramHessian, FlopCountingCoversGramBuild) {
   const double after_prepare = flops.flops;
   f.HessianVec(x, hv, &flops);
   EXPECT_GT(flops.flops, after_prepare);
+}
+
+// The matrix-free product accumulates onto the caller's rho * d seed; with
+// the seed written it is bitwise HessianVec, plus the quadratic form.
+TEST_F(ProximalFixture, HessianVecQuadAccumulatesOntoSeed) {
+  const auto d = static_cast<std::size_t>(ds_.num_features());
+  Rng rng(12);
+  linalg::DenseVector x(d), dir(d), hv(d), hvq(d);
+  for (auto& e : x) e = 0.3 * rng.NextGaussian();
+  for (auto& e : dir) e = rng.NextGaussian();
+  f_.PrepareHessian(x);
+  f_.HessianVec(dir, hv);
+  for (std::size_t i = 0; i < d; ++i) hvq[i] = f_.rho() * dir[i];
+  const double quad = f_.HessianVecQuad(dir, linalg::Dot(dir, dir), hvq);
+  for (std::size_t i = 0; i < d; ++i) {
+    ASSERT_EQ(testref::Bits(hvq[i]), testref::Bits(hv[i])) << "coordinate " << i;
+  }
+  EXPECT_NEAR(quad, linalg::Dot(dir, hv), 1e-9 * std::fabs(quad));
+}
+
+// ------------------------------- TRON against its pre-fusion loop, bitwise ----
+
+/// What the reference loop saw, so each case can show it reached the paths
+/// it is meant to cover.
+struct RefPaths {
+  int boundary_hits = 0;      // CG stopped on the trust-region boundary
+  int negative_curvature = 0;  // ... because p^T H p <= 0
+  int rejected_steps = 0;      // trial point not accepted
+};
+
+/// The TRON/CG loop as it was before its passes were fused and vectorized:
+/// separate s and r updates, the direction update without the hp seed (the
+/// seed pass is written out before each Hessian product, as HessianVecQuad
+/// used to do it), a trial pass with its own strict-order dot chains ahead
+/// of a plain ValueAndGradient. Vector kernels are the scalar references.
+TronResult ReferenceTron(const ProximalLogistic& f, std::span<double> x,
+                         const TronOptions& opt, FlopCounter* flops,
+                         RefPaths& paths) {
+  const std::size_t d = x.size();
+  linalg::DenseVector grad(d), grad_new(d), x_new(d), s(d), r(d), p(d), hp(d);
+  TronResult res;
+  double value = f.ValueAndGradient(x, grad, flops);
+  double gg = testref::Dot4(grad, grad);
+  double gnorm = std::sqrt(gg);
+  const double gnorm0 = gnorm;
+  double delta = gnorm0 > 0 ? gnorm0 : 1.0;
+  const auto is_converged = [&](double g) {
+    return g <= opt.gradient_tolerance * gnorm0 ||
+           (opt.absolute_tolerance > 0 && g <= opt.absolute_tolerance);
+  };
+  if (is_converged(gnorm) || gnorm0 == 0.0) {
+    res.converged = true;
+    res.objective = value;
+    res.gradient_norm = gnorm;
+    return res;
+  }
+  bool grad_eval_at_x = true;
+  for (int it = 0; it < opt.max_iterations; ++it) {
+    ++res.iterations;
+    if (grad_eval_at_x) {
+      f.PrepareHessianFromLastGradient(flops);
+    } else {
+      f.PrepareHessian(x, flops);
+    }
+
+    // Truncated CG.
+    for (std::size_t i = 0; i < d; ++i) {
+      s[i] = 0.0;
+      r[i] = -grad[i];
+      p[i] = r[i];
+    }
+    double rr = gg, pp = gg;
+    const double stop = opt.cg_tolerance * std::sqrt(gg);
+    bool hit_boundary = false;
+    for (int j = 0; j < opt.max_cg_iterations; ++j) {
+      if (std::sqrt(rr) <= stop) break;
+      ++res.cg_iterations;
+      for (std::size_t i = 0; i < d; ++i) hp[i] = f.rho() * p[i];
+      const double php = f.HessianVecQuad(p, pp, hp, flops);
+      if (flops != nullptr) flops->Add(10.0 * static_cast<double>(d));
+      auto to_boundary = [&] {
+        const double ss = testref::Dot4(s, s);
+        const double sp = testref::Dot4(s, p);
+        const double disc = sp * sp + pp * (delta * delta - ss);
+        const double tau = (-sp + std::sqrt(std::max(0.0, disc))) / pp;
+        for (std::size_t i = 0; i < d; ++i) s[i] += tau * p[i];
+        for (std::size_t i = 0; i < d; ++i) r[i] += -tau * hp[i];
+        hit_boundary = true;
+        ++paths.boundary_hits;
+      };
+      if (php <= 0.0) {
+        ++paths.negative_curvature;
+        to_boundary();
+        break;
+      }
+      const double alpha = rr / php;
+      if (testref::AxpyNormSq4(alpha, p, s) >= delta * delta) {
+        for (std::size_t i = 0; i < d; ++i) s[i] += -alpha * p[i];
+        to_boundary();
+        break;
+      }
+      const double rr_new = testref::AxpyNormSq4(-alpha, hp, r);
+      const double beta = rr_new / rr;
+      pp = testref::XpayNormSq4(beta, r, p);
+      rr = rr_new;
+    }
+
+    double gs = 0.0, sr = 0.0, sq = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const double si = s[i];
+      x_new[i] = x[i] + si;
+      gs += grad[i] * si;
+      sr += r[i] * si;
+      sq += si * si;
+    }
+    const double predicted = -0.5 * (gs - sr);
+    const double snorm = std::sqrt(sq);
+    if (flops != nullptr) flops->Add(7.0 * static_cast<double>(d));
+    const double value_new = f.ValueAndGradient(x_new, grad_new, flops);
+    const double actual = value - value_new;
+    grad_eval_at_x = false;
+    const double value_floor =
+        8.0 * std::numeric_limits<double>::epsilon() * std::fabs(value);
+    if (predicted > 0 && predicted < value_floor && actual <= 0) {
+      res.converged = true;
+      break;
+    }
+    const double ratio = predicted > 0 ? actual / predicted : -1.0;
+    if (ratio < opt.eta1) {
+      delta = std::min(std::max(opt.sigma1 * snorm, opt.sigma1 * delta),
+                       opt.sigma2 * delta);
+    } else if (ratio >= opt.eta2 && hit_boundary) {
+      delta = std::max(delta, opt.sigma3 * snorm);
+    }
+    if (ratio > opt.eta0 && actual > 0) {
+      value = value_new;
+      grad_eval_at_x = true;
+      std::swap(grad, grad_new);
+      gg = testref::CopyNormSq4(x_new, x, grad);
+      gnorm = std::sqrt(gg);
+      if (is_converged(gnorm)) {
+        res.converged = true;
+        break;
+      }
+    } else {
+      ++paths.rejected_steps;
+    }
+    if (delta < 1e-12 || snorm < 1e-14) break;
+  }
+  res.objective = value;
+  res.gradient_norm = gnorm;
+  return res;
+}
+
+/// One x-subproblem: v, z and the start x drawn at the given scales.
+struct TronCase {
+  double rho = 1.0;
+  double v_scale = 0.1;
+  double z_scale = 0.1;
+  double x0_scale = 0.0;
+  bool gram = false;
+  TronOptions opt;
+};
+
+/// Solves `c` on `ds` with TronMinimize (through one reused workspace) and
+/// with ReferenceTron; x, the TronResult and the flop count must agree bit
+/// for bit. Returns the paths the reference took.
+RefPaths ExpectTronMatchesReference(const data::Dataset& ds, const TronCase& c,
+                                    std::uint64_t seed) {
+  const auto d = static_cast<std::size_t>(ds.num_features());
+  Rng rng(seed);
+  linalg::DenseVector v(d), z(d), x0(d);
+  for (auto& e : v) e = c.v_scale * rng.NextGaussian();
+  for (auto& e : z) e = c.z_scale * rng.NextGaussian();
+  for (auto& e : x0) e = c.x0_scale * rng.NextGaussian();
+
+  ProximalLogistic f(&ds, c.rho), f_ref(&ds, c.rho);
+  f.SetUseGramHessian(c.gram);
+  f_ref.SetUseGramHessian(c.gram);
+  f.SetIterationTerms(v, z);
+  f_ref.SetIterationTerms(v, z);
+
+  TronWorkspace ws;
+  RefPaths paths;
+  // Two solves back to back: the second starts where the first ended and
+  // reuses the workspace the first left behind, as an ADMM worker does.
+  linalg::DenseVector x = x0, x_ref = x0;
+  for (int solve = 0; solve < 2; ++solve) {
+    FlopCounter flops, flops_ref;
+    const TronResult got = TronMinimize(f, x, c.opt, &flops, ws);
+    const TronResult want = ReferenceTron(f_ref, x_ref, c.opt, &flops_ref, paths);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.cg_iterations, want.cg_iterations);
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_EQ(testref::Bits(got.objective), testref::Bits(want.objective));
+    EXPECT_EQ(testref::Bits(got.gradient_norm),
+              testref::Bits(want.gradient_norm));
+    EXPECT_EQ(testref::Bits(flops.flops), testref::Bits(flops_ref.flops));
+    std::size_t x_mismatches = 0;
+    for (std::size_t i = 0; i < d; ++i) {
+      if (testref::Bits(x[i]) != testref::Bits(x_ref[i])) ++x_mismatches;
+    }
+    EXPECT_EQ(x_mismatches, 0u) << "solve " << solve;
+    for (auto& e : v) e = -e;  // a different subproblem for the second solve
+  }
+  return paths;
+}
+
+/// A shard of the named synthetic profile (first `rows` samples).
+data::Dataset ProfileShard(const std::string& profile, std::uint64_t rows) {
+  auto spec = data::ProfileByName(profile, 0.01);
+  spec.seed = 17;
+  const auto train = data::GenerateSynthetic(spec).train;
+  return train.SliceSamples(0, std::min<std::uint64_t>(rows, train.num_samples()));
+}
+
+TronOptions BenchLikeTron() {
+  TronOptions t;  // the harnesses' inexact solve
+  t.max_iterations = 10;
+  t.max_cg_iterations = 10;
+  t.gradient_tolerance = 1e-2;
+  return t;
+}
+
+TEST(TronBitwise, MatchesPreFusionLoopOnNews20Shard) {
+  const auto ds = ProfileShard("news20", 64);  // wide: 64 x 13,551
+  RefPaths total;
+  TronCase easy;
+  easy.opt = BenchLikeTron();
+  // A small penalty and a far start: long steps the model mispredicts.
+  TronCase hard;
+  hard.rho = 0.01;
+  hard.x0_scale = 3.0;
+  hard.v_scale = 1.0;
+  for (const TronCase& c : {easy, hard}) {
+    const RefPaths p = ExpectTronMatchesReference(ds, c, 101);
+    total.boundary_hits += p.boundary_hits;
+    total.rejected_steps += p.rejected_steps;
+  }
+  EXPECT_GT(total.boundary_hits, 0);
+  EXPECT_GT(total.rejected_steps, 0);
+}
+
+TEST(TronBitwise, MatchesPreFusionLoopOnUrlTallShard) {
+  const auto ds = ProfileShard("url_tall", 1250);  // tall: 1,250 x 193
+  RefPaths total;
+  TronCase cg;
+  cg.opt = BenchLikeTron();
+  TronCase gram = cg;
+  gram.gram = true;
+  TronCase hard;
+  hard.rho = 0.01;
+  hard.x0_scale = 3.0;
+  hard.v_scale = 1.0;
+  for (const TronCase& c : {cg, gram, hard}) {
+    const RefPaths p = ExpectTronMatchesReference(ds, c, 202);
+    total.boundary_hits += p.boundary_hits;
+    total.rejected_steps += p.rejected_steps;
+  }
+  EXPECT_GT(total.boundary_hits, 0);
+  EXPECT_GT(total.rejected_steps, 0);
+}
+
+// With rho = 0 and a data term whose rows are all empty, the Hessian is zero:
+// every CG direction has p^T H p = 0 and takes the negative-curvature exit.
+TEST(TronBitwise, MatchesPreFusionLoopUnderZeroCurvature) {
+  const std::uint64_t d = 37;
+  linalg::CsrMatrix::Builder b(d);
+  std::vector<double> labels;
+  for (int r = 0; r < 8; ++r) {
+    b.AddRow(std::span<const linalg::CsrMatrix::Index>{},
+             std::span<const double>{});
+    labels.push_back(r % 2 == 0 ? 1.0 : -1.0);
+  }
+  const data::Dataset ds(b.Build(), labels);
+  TronCase c;
+  c.rho = 0.0;
+  c.opt.max_iterations = 5;
+  const RefPaths p = ExpectTronMatchesReference(ds, c, 303);
+  EXPECT_GT(p.negative_curvature, 0);
 }
 
 // ------------------------------------ cached-Gram direct least squares ----
