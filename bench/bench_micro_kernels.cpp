@@ -3,25 +3,25 @@
 // against performance regressions in the building blocks.
 //
 // Invoked with --kernels-out <path> this binary instead runs the gated
-// solver-kernel microbench (DESIGN.md §14): blocked-vs-scalar ratios for the
-// linalg kernels plus the Gram-vs-CG x-update comparison on a tall url_like
-// shard, written as BENCH_kernels.json and diffed in CI like
-// BENCH_hotpath.json. All other arguments delegate to google-benchmark.
+// solver-kernel microbench (DESIGN.md §14): optimized-vs-scalar ratios for
+// the linalg kernels the TRON x-update runs, on an urltall-hier shard,
+// written as BENCH_kernels.json and gated by scripts/check.sh. All other
+// arguments delegate to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "comm/collective.hpp"
 #include "comm/group.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
-#include "linalg/gram.hpp"
 #include "linalg/sparse_vector.hpp"
-#include "solver/direct.hpp"
 #include "solver/logistic.hpp"
 #include "solver/tron.hpp"
 #include "support/rng.hpp"
@@ -197,26 +197,19 @@ double NowSeconds() {
       .count();
 }
 
-/// Best-of-`reps` seconds for one call of `fn`, where each timed sample runs
-/// `inner` calls back to back (so sub-microsecond kernels still get a
-/// multi-millisecond sample).
+/// Seconds per call of `fn` over one sample of `inner` back-to-back calls
+/// (so sub-microsecond kernels still get a multi-millisecond sample).
 template <typename Fn>
-double TimeBest(int reps, int inner, Fn&& fn) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const double t0 = NowSeconds();
-    for (int k = 0; k < inner; ++k) fn();
-    const double dt = (NowSeconds() - t0) / inner;
-    best = std::min(best, dt);
-  }
-  return best;
+double TimeSample(int inner, Fn&& fn) {
+  const double t0 = NowSeconds();
+  for (int k = 0; k < inner; ++k) fn();
+  return (NowSeconds() - t0) / inner;
 }
 
 /// A raw copy of the CSR arrays so the scalar reference loops run over plain
 /// pointers — the same access pattern the pre-blocking CsrMatrix kernels had.
 struct RawCsr {
   std::size_t rows = 0;
-  std::size_t cols = 0;
   std::vector<std::size_t> rp;
   std::vector<std::uint64_t> ci;
   std::vector<double> va;
@@ -225,7 +218,6 @@ struct RawCsr {
 RawCsr ExtractRaw(const linalg::CsrMatrix& m) {
   RawCsr r;
   r.rows = static_cast<std::size_t>(m.rows());
-  r.cols = static_cast<std::size_t>(m.cols());
   r.rp.reserve(r.rows + 1);
   r.rp.push_back(0);
   for (std::uint64_t row = 0; row < m.rows(); ++row) {
@@ -236,17 +228,6 @@ RawCsr ExtractRaw(const linalg::CsrMatrix& m) {
     r.rp.push_back(r.ci.size());
   }
   return r;
-}
-
-void ScalarCsrMultiply(const RawCsr& m, std::span<const double> x,
-                       std::span<double> out) {
-  for (std::size_t r = 0; r < m.rows; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = m.rp[r]; k < m.rp[r + 1]; ++k) {
-      acc += m.va[k] * x[static_cast<std::size_t>(m.ci[k])];
-    }
-    out[r] = acc;
-  }
 }
 
 void ScalarCsrTransposeMultiplyAdd(const RawCsr& m, std::span<const double> v,
@@ -260,117 +241,58 @@ void ScalarCsrTransposeMultiplyAdd(const RawCsr& m, std::span<const double> v,
   }
 }
 
-void ScalarGemv(std::span<const double> a, std::size_t rows, std::size_t cols,
-                std::span<const double> x, std::span<double> y) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) acc += row[j] * x[j];
-    y[r] = acc;
-  }
-}
-
-void ScalarGemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
-                 std::span<const double> x, std::span<double> y) {
-  linalg::SetZero(y);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    const double xr = x[r];
-    for (std::size_t j = 0; j < cols; ++j) y[j] += xr * row[j];
-  }
-}
-
 struct KernelRow {
   std::string name;
-  double scalar_s = 0.0;
-  double blocked_s = 0.0;
-  double ratio() const { return blocked_s > 0 ? scalar_s / blocked_s : 0.0; }
+  double scalar_s = 0.0;   // median seconds per call
+  double blocked_s = 0.0;  // median seconds per call
+  double ratio = 0.0;      // median of the per-pair scalar/blocked ratios
+  double ratio_min = 0.0;
+  double ratio_max = 0.0;
 };
 
-/// Matrix-free CG on the normal equations (A^T A + rho I) x = rhs — the
-/// least-squares x-update a worker WITHOUT the cached Gram has to run every
-/// ADMM iteration, streaming the shard twice per CG step. The cached-Gram
-/// direct path solves the identical subproblem from its factor.
-int LsCgSolve(const linalg::CsrMatrix& m, std::span<const double> rhs,
-              double rho, std::span<double> x, linalg::DenseVector& r,
-              linalg::DenseVector& p, linalg::DenseVector& hp,
-              linalg::DenseVector& ax, double tol, int max_iters) {
-  const std::size_t d = x.size();
-  linalg::SetZero(x);
-  for (std::size_t i = 0; i < d; ++i) {
-    r[i] = rhs[i];
-    p[i] = rhs[i];
-    hp[i] = rho * rhs[i];
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Times `scalar` and `blocked` in `pairs` back-to-back sample pairs. Both
+/// halves of a pair see the same moment of host load, so co-tenant
+/// contention largely cancels out of the pair's ratio, where a best-of taken
+/// over each kernel separately keeps it.
+template <typename Scalar, typename Blocked>
+KernelRow TimePaired(std::string name, int pairs, int inner, Scalar&& scalar,
+                     Blocked&& blocked) {
+  std::vector<double> s, b, r;
+  for (int p = 0; p < pairs; ++p) {
+    s.push_back(TimeSample(inner, scalar));
+    b.push_back(TimeSample(inner, blocked));
+    r.push_back(s.back() / b.back());
   }
-  double rr = linalg::Dot(r, r);
-  const double stop = tol * tol * rr;
-  int iters = 0;
-  while (iters < max_iters && rr > stop) {
-    ++iters;
-    m.Multiply(p, ax);
-    m.TransposeMultiplyAdd(ax, hp);  // hp already holds rho * p
-    const double php = linalg::Dot(p, hp);
-    if (php <= 0.0) break;
-    const double alpha = rr / php;
-    linalg::Axpy(alpha, p, x);
-    const double rr_new = linalg::AxpyNormSq(-alpha, hp, r);
-    const double beta = rr_new / rr;
-    linalg::XpayNormSq(beta, r, p, rho, hp);
-    rr = rr_new;
-  }
-  return iters;
+  const auto [lo, hi] = std::minmax_element(r.begin(), r.end());
+  return {std::move(name), Median(s), Median(b), Median(r), *lo, *hi};
 }
 
 int RunKernelGate(const std::string& out_path, bool quick) {
-  const int reps = quick ? 3 : 7;
+  const int pairs = quick ? 7 : 21;
   std::vector<KernelRow> rows;
 
-  // -- CSR kernels on a url_tall-shaped shard (tall, ~12 nnz/row). --------
-  data::SyntheticSpec csr_spec;
-  csr_spec.name = "url_tall_shard";
-  csr_spec.num_features = 256;
-  csr_spec.num_train = quick ? 8192 : 24576;
-  csr_spec.num_test = 1;
-  csr_spec.mean_row_nnz = 12.0;
-  csr_spec.feature_skew = 1.2;
-  csr_spec.seed = 46;
-  const auto gen = data::GenerateSynthetic(csr_spec);
-  const auto& mat = gen.train.features();
+  // -- CSR kernel on one worker's shard of the urltall-hier workload ------
+  // (url_tall at scale 0.01 over 16 workers: 1,250 x 193, ~11.5 nnz/row).
+  // Engine shards are cache-resident; a shard past L2 times host memory
+  // contention rather than the kernel.
+  const auto gen = data::GenerateSynthetic(data::UrlTallProfile());
+  const auto mat = gen.train.features().SliceRows(0, 1250);
   const RawCsr raw = ExtractRaw(mat);
   const auto nrows = static_cast<std::size_t>(mat.rows());
   const auto ncols = static_cast<std::size_t>(mat.cols());
 
   {
-    linalg::DenseVector x(ncols, 0.5), out_s(nrows), out_b(nrows);
-    KernelRow k{"csr_multiply"};
-    k.scalar_s = TimeBest(reps, 50, [&] { ScalarCsrMultiply(raw, x, out_s); });
-    k.blocked_s = TimeBest(reps, 50, [&] { mat.Multiply(x, out_b); });
-    rows.push_back(k);
-  }
-  {
     linalg::DenseVector v(nrows, 0.25), out_s(ncols, 0.0), out_b(ncols, 0.0);
-    KernelRow k{"csr_transpose_multiply_add"};
-    k.scalar_s =
-        TimeBest(reps, 50, [&] { ScalarCsrTransposeMultiplyAdd(raw, v, out_s); });
-    k.blocked_s = TimeBest(reps, 50, [&] { mat.TransposeMultiplyAdd(v, out_b); });
-    rows.push_back(k);
-  }
-
-  // -- Dense register-blocked gemv / gemv_t. ------------------------------
-  {
-    const std::size_t n = 512;
-    Rng rng(7);
-    linalg::DenseVector a(n * n);
-    for (auto& v : a) v = rng.NextGaussian();
-    linalg::DenseVector x(n, 0.5), y_s(n), y_b(n);
-    KernelRow k{"gemv"};
-    k.scalar_s = TimeBest(reps, 200, [&] { ScalarGemv(a, n, n, x, y_s); });
-    k.blocked_s = TimeBest(reps, 200, [&] { linalg::Gemv(a, n, n, x, y_b); });
-    rows.push_back(k);
-    KernelRow kt{"gemv_t"};
-    kt.scalar_s = TimeBest(reps, 200, [&] { ScalarGemvT(a, n, n, x, y_s); });
-    kt.blocked_s = TimeBest(reps, 200, [&] { linalg::GemvT(a, n, n, x, y_b); });
-    rows.push_back(kt);
+    rows.push_back(TimePaired(
+        "csr_transpose_multiply_add", pairs, 500,
+        [&] { ScalarCsrTransposeMultiplyAdd(raw, v, out_s); },
+        [&] { mat.TransposeMultiplyAdd(v, out_b); }));
   }
 
   // -- Fused axpy + ||y||^2 vs the separate Axpy/Dot pair. ----------------
@@ -378,83 +300,15 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     const std::size_t n = 1 << 16;
     linalg::DenseVector x(n, 1e-8), y(n, 0.5);
     double sink = 0.0;
-    KernelRow k{"fused_axpy_normsq"};
-    k.scalar_s = TimeBest(reps, 200, [&] {
-      linalg::Axpy(1e-9, x, y);
-      sink += linalg::Dot(y, y);
-    });
-    k.blocked_s = TimeBest(reps, 200, [&] {
-      sink += linalg::AxpyNormSq(1e-9, x, y);
-    });
+    rows.push_back(TimePaired(
+        "fused_axpy_normsq", pairs, 200,
+        [&] {
+          linalg::Axpy(1e-9, x, y);
+          sink += linalg::Dot(y, y);
+        },
+        [&] { sink += linalg::AxpyNormSq(1e-9, x, y); }));
     benchmark::DoNotOptimize(sink);
-    rows.push_back(k);
   }
-
-  // -- x-update on the tall shard: the least-squares subproblem solved
-  //    matrix-free by CG on the normal equations (streams the shard every
-  //    iteration) vs the cached-Gram direct solve (factor once, then a pair
-  //    of packed triangular substitutions). Plus the logistic TRON variant
-  //    with the Gram-accelerated Hessian, reported as a tripwire ratio. ----
-  solver::TronOptions topt;
-  topt.max_iterations = 10;
-  topt.max_cg_iterations = 10;
-  topt.gradient_tolerance = 1e-2;
-  linalg::DenseVector v(ncols, 0.01), z(ncols, 0.0), x(ncols, 0.0);
-  solver::TronWorkspace tws;
-  const int solve_reps = quick ? 3 : 8;
-
-  solver::ProximalLogistic f_cg(&gen.train, 1.0);
-  f_cg.SetIterationTerms(v, z);
-  const double tron_cg_solve_s = TimeBest(solve_reps, 1, [&] {
-    linalg::SetZero(x);
-    solver::TronMinimize(f_cg, x, topt, nullptr, tws);
-  });
-
-  solver::ProximalLogistic f_gram(&gen.train, 1.0);
-  f_gram.SetUseGramHessian(true);
-  f_gram.SetIterationTerms(v, z);
-  const double tron_gram_solve_s = TimeBest(solve_reps, 1, [&] {
-    linalg::SetZero(x);
-    solver::TronMinimize(f_gram, x, topt, nullptr, tws);
-  });
-
-  // Shared right-hand side A^T b - v + rho z (both solvers cache A^T b; the
-  // per-iteration terms are what change inside ADMM).
-  const double rho = 1.0;
-  linalg::DenseVector atb(ncols, 0.0);
-  mat.TransposeMultiplyAdd(gen.train.labels(), atb);
-  linalg::DenseVector rhs(ncols);
-  for (std::size_t i = 0; i < ncols; ++i) {
-    rhs[i] = atb[i] - v[i] + rho * z[i];
-  }
-  linalg::DenseVector cg_r(ncols), cg_p(ncols), cg_hp(ncols), cg_ax(nrows);
-  int ls_cg_iters = 0;
-  const double ls_cg_solve_s = TimeBest(solve_reps, 1, [&] {
-    ls_cg_iters = LsCgSolve(mat, rhs, rho, x, cg_r, cg_p, cg_hp, cg_ax,
-                            /*tol=*/1e-6, /*max_iters=*/4 * 256);
-  });
-
-  const double t_build0 = NowSeconds();
-  solver::CachedGramLeastSquares direct(&mat, gen.train.labels(), rho);
-  const double direct_build_s = NowSeconds() - t_build0;
-  const double t_first0 = NowSeconds();
-  direct.Solve(v, z, x);
-  const double direct_first_solve_s = NowSeconds() - t_first0;
-  const double direct_resolve_s =
-      TimeBest(solve_reps, 20, [&] { direct.Solve(v, z, x); });
-  double rho_flip = 2.0;
-  const double direct_refactor_s = TimeBest(solve_reps, 5, [&] {
-    direct.SetRho(rho_flip);
-    rho_flip = rho_flip == 2.0 ? 4.0 : 2.0;
-    direct.Solve(v, z, x);
-  });
-
-  // Headline gate: per-ADMM-iteration x-update cost, steady state (the
-  // factor is cached; CG re-streams the shard every time).
-  const double gram_over_cg =
-      direct_resolve_s > 0 ? ls_cg_solve_s / direct_resolve_s : 0.0;
-  const double tron_gram_over_cg =
-      tron_gram_solve_s > 0 ? tron_cg_solve_s / tron_gram_solve_s : 0.0;
 
   std::ofstream out(out_path);
   if (!out) {
@@ -467,40 +321,24 @@ int RunKernelGate(const std::string& out_path, bool quick) {
   out << "  \"benchmark\": \"kernels\",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   out << "  \"config\": {\"shard_rows\": " << nrows
-      << ", \"shard_cols\": " << ncols
-      << ", \"tron_outer\": " << topt.max_iterations
-      << ", \"tron_cg\": " << topt.max_cg_iterations << "},\n";
+      << ", \"shard_cols\": " << ncols << "},\n";
   out << "  \"kernels\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& k = rows[i];
     out << "    {\"name\": \"" << k.name << "\", \"scalar_us\": "
         << k.scalar_s * 1e6 << ", \"blocked_us\": " << k.blocked_s * 1e6
-        << ", \"blocked_over_scalar\": " << k.ratio() << "}"
+        << ", \"blocked_over_scalar\": " << k.ratio
+        << ", \"ratio_min\": " << k.ratio_min
+        << ", \"ratio_max\": " << k.ratio_max << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"xupdate\": {\n";
-  out << "    \"rows\": " << nrows << ",\n";
-  out << "    \"cols\": " << ncols << ",\n";
-  out << "    \"ls_cg_solve_ms\": " << ls_cg_solve_s * 1e3 << ",\n";
-  out << "    \"ls_cg_iters\": " << ls_cg_iters << ",\n";
-  out << "    \"direct_gram_build_ms\": " << direct_build_s * 1e3 << ",\n";
-  out << "    \"direct_first_solve_ms\": " << direct_first_solve_s * 1e3
-      << ",\n";
-  out << "    \"direct_resolve_ms\": " << direct_resolve_s * 1e3 << ",\n";
-  out << "    \"direct_refactor_ms\": " << direct_refactor_s * 1e3 << ",\n";
-  out << "    \"tron_cg_solve_ms\": " << tron_cg_solve_s * 1e3 << ",\n";
-  out << "    \"tron_gram_solve_ms\": " << tron_gram_solve_s * 1e3 << "\n";
-  out << "  },\n";
-  out << "  \"tron_gram_over_cg\": " << tron_gram_over_cg << ",\n";
-  out << "  \"gram_over_cg\": " << gram_over_cg << "\n";
+  out << "  ]\n";
   out << "}\n";
   out.close();
 
-  std::cout << "kernel gate: gram_over_cg=" << gram_over_cg
-            << " tron_gram_over_cg=" << tron_gram_over_cg;
+  std::cout << "kernel gate:";
   for (const auto& k : rows) {
-    std::cout << " " << k.name << "=" << k.ratio();
+    std::cout << " " << k.name << "=" << k.ratio;
   }
   std::cout << " -> " << out_path << "\n";
   return 0;

@@ -63,15 +63,17 @@ double ComputeMultiplier(const ClusterConfig& cluster,
 
 bool UseGramSolver(const LocalSolverOptions& solver, std::uint64_t rows,
                    std::uint64_t cols) {
+  constexpr double kTallRatio = 4.0;
+  constexpr std::uint64_t kMaxGramDim = 2048;
   switch (solver.mode) {
     case LocalSolverOptions::Mode::kCg:
       return false;
     case LocalSolverOptions::Mode::kGram:
       return true;
     case LocalSolverOptions::Mode::kAuto:
-      return cols > 0 && cols <= solver.max_gram_dim &&
+      return cols > 0 && cols <= kMaxGramDim &&
              static_cast<double>(rows) >=
-                 solver.tall_ratio * static_cast<double>(cols);
+                 kTallRatio * static_cast<double>(cols);
   }
   return false;
 }

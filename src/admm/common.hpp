@@ -110,19 +110,16 @@ class ProgressSink {
 struct LocalSolverOptions {
   enum class Mode {
     kCg,    ///< matrix-free TRON/CG (default; baseline-exact)
-    kAuto,  ///< Gram on tall shards (rows >= tall_ratio * cols), CG otherwise
+    kAuto,  ///< Gram on tall shards (see UseGramSolver), CG otherwise
     kGram,  ///< Gram Hessian on every worker
   };
   Mode mode = Mode::kCg;
-  /// kAuto threshold: a shard is "tall" when rows >= tall_ratio * cols.
-  double tall_ratio = 4.0;
-  /// kAuto refuses the Gram path above this feature dimension (the packed
-  /// Gram is d(d+1)/2 doubles per worker; 2048 caps it at 16 MiB).
-  std::uint64_t max_gram_dim = 2048;
 };
 
 /// Per-worker selection: true when `solver` says this shard shape should run
-/// the Gram-accelerated Hessian path.
+/// the Gram-accelerated Hessian path. kAuto takes it on tall shards
+/// (rows >= 4 * cols) up to 2048 features (the packed Gram is d(d+1)/2
+/// doubles per worker; 2048 caps it at 16 MiB).
 bool UseGramSolver(const LocalSolverOptions& solver, std::uint64_t rows,
                    std::uint64_t cols);
 

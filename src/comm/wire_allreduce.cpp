@@ -47,6 +47,12 @@ struct StageSpan {
   }
 };
 
+/// memcpy for payload bodies, which may be empty: an empty vector's data()
+/// may be null, and memcpy requires valid pointers even for zero bytes.
+void CopyBytes(void* dst, const void* src, std::size_t n) {
+  if (n != 0) std::memcpy(dst, src, n);
+}
+
 /// Same ownership split as GroupComm::BlockRange.
 std::pair<std::uint64_t, std::uint64_t> BlockRange(std::uint64_t dim,
                                                    GroupRank g, GroupRank n) {
@@ -93,7 +99,7 @@ struct Wire {
     t.Recv(members[src], tag, buf);
     PSRA_REQUIRE(buf.size() == out.size() * sizeof(double),
                  "dense payload size mismatch");
-    std::memcpy(out.data(), buf.data(), buf.size());
+    CopyBytes(out.data(), buf.data(), buf.size());
   }
 
   /// Sparse payload: u64 nnz | nnz * u64 index | nnz * double value.
@@ -104,9 +110,9 @@ struct Wire {
     std::byte* p = buf.data();
     std::memcpy(p, &nnz, sizeof(nnz));
     p += sizeof(nnz);
-    std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
+    CopyBytes(p, v.indices().data(), nnz * sizeof(std::uint64_t));
     p += nnz * sizeof(std::uint64_t);
-    std::memcpy(p, v.values().data(), nnz * sizeof(double));
+    CopyBytes(p, v.values().data(), nnz * sizeof(double));
     t.Post(members[dst], tag, buf);
   }
 
@@ -120,14 +126,17 @@ struct Wire {
     const std::byte* p = buf.data();
     std::memcpy(&nnz, p, sizeof(nnz));
     p += sizeof(nnz);
-    PSRA_REQUIRE(buf.size() == sizeof(std::uint64_t) * (1 + nnz) +
-                                   sizeof(double) * nnz,
+    // Bound nnz by the body before multiplying: a hostile header near 2^60
+    // would otherwise wrap the expected size around to the buffer's.
+    constexpr std::size_t kEntry = sizeof(std::uint64_t) + sizeof(double);
+    const std::size_t body = buf.size() - sizeof(nnz);
+    PSRA_REQUIRE(nnz <= body / kEntry && body == nnz * kEntry,
                  "sparse payload size mismatch");
     idx.resize(nnz);
     val.resize(nnz);
-    std::memcpy(idx.data(), p, nnz * sizeof(std::uint64_t));
+    CopyBytes(idx.data(), p, nnz * sizeof(std::uint64_t));
     p += nnz * sizeof(std::uint64_t);
-    std::memcpy(val.data(), p, nnz * sizeof(double));
+    CopyBytes(val.data(), p, nnz * sizeof(double));
     out = linalg::SparseVector(dim, idx, val);
   }
 };
@@ -345,8 +354,10 @@ void RingDense(Wire& w, Tag base, ElemPricing pr,
         },
         [&](GroupRank src, Tag tag, linalg::DenseVector& x) {
           w.t.Recv(w.members[src], tag, sc.bytes);
+          PSRA_REQUIRE(sc.bytes.size() % sizeof(double) == 0,
+                       "dense payload size mismatch");
           x.resize(sc.bytes.size() / sizeof(double));
-          std::memcpy(x.data(), sc.bytes.data(), sc.bytes.size());
+          CopyBytes(x.data(), sc.bytes.data(), sc.bytes.size());
         },
         [](const linalg::DenseVector& x) { return x.size(); },
         [](linalg::DenseVector& dst, const linalg::DenseVector& src) {
@@ -669,8 +680,10 @@ void WireCollectives::MultiLevelDense(AllreduceKind kind,
     StageSpan redist(obs_, "redistribute");
     std::vector<std::byte> buf;
     transport_.Recv(h.my_leader, redist_tag, buf);
+    PSRA_REQUIRE(buf.size() % sizeof(double) == 0,
+                 "dense payload size mismatch");
     out.resize(buf.size() / sizeof(double));
-    std::memcpy(out.data(), buf.data(), buf.size());
+    CopyBytes(out.data(), buf.data(), buf.size());
   }
   st.rounds = st.rack_rounds + st.root_rounds;
   if (obs_ != nullptr) {

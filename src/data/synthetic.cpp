@@ -184,7 +184,7 @@ SyntheticSpec UrlProfile(double scale, std::uint64_t seed) {
 // The transpose-reduction scenario (DESIGN.md §14): url-style rows (strong
 // popularity skew, ~11 nnz/row) over a deliberately small feature dimension
 // with the paper's full url row count scaled directly, so every worker's
-// shard is tall (rows >> cols) and the Gram/direct x-update path pays off.
+// shard is tall (rows >> cols) and the TRON x-update takes the Gram Hessian.
 // At the default bench scale (0.01) this is 20,000 x 193 — sixteen workers
 // still see a 6.5:1 aspect ratio, comfortably past the kAuto threshold.
 SyntheticSpec UrlTallProfile(double scale, std::uint64_t seed) {

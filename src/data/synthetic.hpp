@@ -55,7 +55,7 @@ SyntheticSpec UrlProfile(double scale = 0.01, std::uint64_t seed = 44);
 
 /// Tall-shard url variant for the transpose-reduction solver path
 /// (DESIGN.md §14): url-style rows over a small feature dimension so worker
-/// shards are tall (rows >> cols) and the Gram/direct x-update pays off.
+/// shards are tall (rows >> cols) and kAuto picks the Gram Hessian.
 SyntheticSpec UrlTallProfile(double scale = 0.01, std::uint64_t seed = 46);
 
 /// Not from the paper: a 64-feature, many-row profile for O(10k)-worker

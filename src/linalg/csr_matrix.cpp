@@ -95,36 +95,9 @@ void CsrMatrix::Multiply(std::span<const double> x,
   const std::size_t* rp = row_ptr_.data();
   const Index* ci = col_idx_.data();
   const double* va = values_.data();
-  Index r = 0;
-  // Four rows advance in lockstep, one sequential accumulator per row: the
-  // four FP-add chains are independent (ILP across rows) while each row still
-  // sums its entries in CSR order — bitwise-identical to the scalar loop,
-  // which the sweep baselines' convergence counters pin down exactly.
-  for (; r + 4 <= rows_; r += 4) {
-    std::size_t k0 = rp[r], k1 = rp[r + 1], k2 = rp[r + 2], k3 = rp[r + 3];
-    const std::size_t e0 = rp[r + 1], e1 = rp[r + 2], e2 = rp[r + 3],
-                      e3 = rp[r + 4];
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    while (k0 < e0 && k1 < e1 && k2 < e2 && k3 < e3) {
-      a0 += va[k0] * x[static_cast<std::size_t>(ci[k0])];
-      a1 += va[k1] * x[static_cast<std::size_t>(ci[k1])];
-      a2 += va[k2] * x[static_cast<std::size_t>(ci[k2])];
-      a3 += va[k3] * x[static_cast<std::size_t>(ci[k3])];
-      ++k0;
-      ++k1;
-      ++k2;
-      ++k3;
-    }
-    for (; k0 < e0; ++k0) a0 += va[k0] * x[static_cast<std::size_t>(ci[k0])];
-    for (; k1 < e1; ++k1) a1 += va[k1] * x[static_cast<std::size_t>(ci[k1])];
-    for (; k2 < e2; ++k2) a2 += va[k2] * x[static_cast<std::size_t>(ci[k2])];
-    for (; k3 < e3; ++k3) a3 += va[k3] * x[static_cast<std::size_t>(ci[k3])];
-    out[static_cast<std::size_t>(r)] = a0;
-    out[static_cast<std::size_t>(r + 1)] = a1;
-    out[static_cast<std::size_t>(r + 2)] = a2;
-    out[static_cast<std::size_t>(r + 3)] = a3;
-  }
-  for (; r < rows_; ++r) {
+  // One sequential accumulator per row, summing its entries in CSR order:
+  // the sweep baselines' convergence counters pin this order down exactly.
+  for (Index r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
       acc += va[k] * x[static_cast<std::size_t>(ci[k])];
@@ -181,13 +154,6 @@ std::vector<std::size_t> CsrMatrix::ColumnNnz() const {
   std::vector<std::size_t> counts(static_cast<std::size_t>(cols_), 0);
   for (Index c : col_idx_) ++counts[static_cast<std::size_t>(c)];
   return counts;
-}
-
-void CsrMatrix::GramProduct(SymmetricGram& out) const {
-  PSRA_REQUIRE(out.dim() == cols_, "gram-product dimension mismatch");
-  for (Index r = 0; r < rows_; ++r) {
-    out.AddScaledOuter(RowIndices(r), RowValues(r), 1.0);
-  }
 }
 
 void CsrMatrix::GramProduct(std::span<const double> w,

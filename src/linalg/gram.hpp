@@ -1,20 +1,17 @@
-// Packed symmetric Gram container + Cholesky factorization.
+// Packed symmetric Gram container.
 //
 // SymmetricGram stores a d x d symmetric matrix as its lower triangle in
 // packed row-major order (row i holds i+1 entries at offset i(i+1)/2), the
-// shape produced by transpose-reduction local solvers: A^T A (or A^T D A)
-// accumulated once from a CSR shard, then reused by every Hessian-vector
-// product or factored by PackedCholesky for direct x-updates
-// (DESIGN.md §14). Storage is recycled across Reset calls, so a warm
-// container performs no allocations.
+// shape of the transpose-reduction TRON Hessian: A^T D A accumulated once
+// per outer Newton iteration from a CSR shard, then reused by every
+// Hessian-vector product (DESIGN.md §14). Storage is recycled across Reset
+// calls, so a warm container performs no allocations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "linalg/dense_ops.hpp"
 
 namespace psra::linalg {
 
@@ -46,35 +43,9 @@ class SymmetricGram {
   /// scaled mirror to out[j<i], so every stored element is read once.
   void Multiply(std::span<const double> x, std::span<double> out) const;
 
-  std::span<const double> packed() const { return packed_; }
-
  private:
   std::size_t dim_ = 0;
   std::vector<double> packed_;
-};
-
-/// Cholesky factor of a shifted SymmetricGram: L L^T = G + shift * I.
-/// Factor and Solve recycle internal storage (no allocations when warm), so
-/// a per-worker instance keeps the ADMM x-update allocation-free.
-class PackedCholesky {
- public:
-  PackedCholesky() = default;
-
-  /// Factors G + shift * I. Returns false (leaving the factor unusable) if
-  /// the shifted matrix is not numerically positive definite; with any
-  /// shift > 0 this only happens on pathological input.
-  bool Factor(const SymmetricGram& g, double shift);
-
-  std::size_t dim() const { return dim_; }
-  bool ok() const { return ok_; }
-
-  /// x = (L L^T)^{-1} b. Requires a successful Factor.
-  void Solve(std::span<const double> b, std::span<double> x) const;
-
- private:
-  std::size_t dim_ = 0;
-  bool ok_ = false;
-  std::vector<double> factor_;  // packed lower triangle of L
 };
 
 }  // namespace psra::linalg

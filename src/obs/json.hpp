@@ -21,6 +21,11 @@ namespace psra::obs::json {
 
 class Scanner {
  public:
+  /// Deepest array/object nesting accepted. Input arrives from peers and
+  /// files, and both the Scanner and the DOM builder recurse once per level,
+  /// so an unbounded depth would let a hostile document exhaust the stack.
+  static constexpr int kMaxDepth = 512;
+
   explicit Scanner(std::string_view text) : text_(text) {}
 
   /// Validates the whole input as one JSON value (plus trailing whitespace).
@@ -28,6 +33,7 @@ class Scanner {
   /// "counters.engine.iterations" for {"counters":{"engine.iterations":1}}.
   bool Validate() {
     pos_ = 0;
+    depth_ = 0;
     keys_.clear();
     error_.clear();
     SkipWs();
@@ -120,8 +126,13 @@ class Scanner {
   bool Value(const std::string& path) {
     if (pos_ >= text_.size()) return Fail("expected value");
     const char c = text_[pos_];
-    if (c == '{') return Object(path);
-    if (c == '[') return Array(path);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) return Fail("nesting too deep");
+      ++depth_;
+      const bool ok = c == '{' ? Object(path) : Array(path);
+      --depth_;
+      return ok;
+    }
     if (c == '"') return String(nullptr);
     if (c == 't') return Literal("true");
     if (c == 'f') return Literal("false");
@@ -183,6 +194,7 @@ class Scanner {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::vector<std::string> keys_;
   std::string error_;
 };

@@ -201,8 +201,6 @@ TEST(PsraHgAdmm, GroupThresholdDefaultsToHalfNodes) {
 TEST(LocalSolver, AutoHeuristicPicksGramOnTallShards) {
   LocalSolverOptions opt;
   opt.mode = LocalSolverOptions::Mode::kAuto;
-  opt.tall_ratio = 4.0;
-  opt.max_gram_dim = 2048;
   EXPECT_TRUE(UseGramSolver(opt, /*rows=*/4000, /*cols=*/100));
   EXPECT_FALSE(UseGramSolver(opt, /*rows=*/300, /*cols=*/100));  // not tall
   EXPECT_FALSE(UseGramSolver(opt, /*rows=*/100000, /*cols=*/4096));  // wide

@@ -461,48 +461,12 @@ TEST_P(LaneKernelBitwise, DualAxpyMatchesTwoAxpys) {
 INSTANTIATE_TEST_SUITE_P(Lengths, LaneKernelBitwise,
                          ::testing::Values(0, 1, 3, 4, 5, 193, 13551));
 
-// The blocked Gemv/GemvT use a different (fixed, deterministic) summation
-// order than a naive loop, so they are compared against row dots within a
-// tight tolerance rather than bitwise.
-TEST(DenseOps, GemvMatchesRowDots) {
-  Rng rng(24);
-  const std::size_t rows = 11, cols = 7;  // exercises both tail loops
-  DenseVector a(rows * cols), x(cols), y(rows);
-  for (auto& e : a) e = rng.NextGaussian();
-  for (auto& e : x) e = rng.NextGaussian();
-  Gemv(a, rows, cols, x, y);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double ref = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) ref += a[r * cols + j] * x[j];
-    EXPECT_NEAR(y[r], ref, 1e-12) << "row " << r;
-  }
-}
-
-TEST(DenseOps, GemvTIsAdjointOfGemv) {
-  Rng rng(25);
-  const std::size_t rows = 13, cols = 6;
-  DenseVector a(rows * cols), x(cols), u(rows), ax(rows), atu(cols);
-  for (auto& e : a) e = rng.NextGaussian();
-  for (auto& e : x) e = rng.NextGaussian();
-  for (auto& e : u) e = rng.NextGaussian();
-  Gemv(a, rows, cols, x, ax);
-  GemvT(a, rows, cols, u, atu);
-  EXPECT_NEAR(Dot(ax, u), Dot(x, atu), 1e-10);
-}
-
-TEST(DenseOps, GemvDimensionChecks) {
-  DenseVector a(6), x(3), y(2), bad(4);
-  EXPECT_THROW(Gemv(a, 2, 3, bad, y), InvalidArgument);
-  EXPECT_THROW(Gemv(a, 3, 3, x, y), InvalidArgument);
-  EXPECT_THROW(GemvT(a, 2, 3, x, y), InvalidArgument);
-}
-
 // ------------------------------------------------------ symmetric gram ----
 
 namespace {
 
-/// Dense reference: G = sum_r w_r a_r a_r^T over the rows of m (w empty =
-/// all ones), returned as a full dense matrix.
+/// Dense reference: G = sum_r w_r a_r a_r^T over the rows of m, returned
+/// as a full dense matrix.
 std::vector<double> DenseGram(const CsrMatrix& m,
                               std::span<const double> w) {
   const auto d = static_cast<std::size_t>(m.cols());
@@ -510,7 +474,7 @@ std::vector<double> DenseGram(const CsrMatrix& m,
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto cols = m.RowIndices(r);
     const auto vals = m.RowValues(r);
-    const double wr = w.empty() ? 1.0 : w[r];
+    const double wr = w[r];
     for (std::size_t a = 0; a < cols.size(); ++a) {
       for (std::size_t b = 0; b < cols.size(); ++b) {
         g[static_cast<std::size_t>(cols[a]) * d +
@@ -545,10 +509,11 @@ CsrMatrix RandomTall(std::uint64_t seed, std::size_t rows, std::size_t cols,
 
 TEST(SymmetricGram, AccumulatesOuterProductsLikeDenseReference) {
   const auto m = RandomTall(31, 12, 5);
+  const DenseVector ones(12, 1.0);
   SymmetricGram g;
   g.Reset(static_cast<std::size_t>(m.cols()));
-  m.GramProduct(g);
-  const auto ref = DenseGram(m, {});
+  m.GramProduct(ones, g);
+  const auto ref = DenseGram(m, ones);
   for (std::size_t i = 0; i < g.dim(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       EXPECT_NEAR(g.At(i, j), ref[i * g.dim() + j], 1e-12)
@@ -578,7 +543,7 @@ TEST(SymmetricGram, GramProductHandlesEmptyRowsAndSingleColumn) {
   const auto m = RandomTall(34, 20, 1, 0.9, /*with_empty_rows=*/true);
   SymmetricGram g;
   g.Reset(1);
-  m.GramProduct(g);
+  m.GramProduct(DenseVector(20, 1.0), g);
   double ref = 0.0;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (const double v : m.RowValues(r)) ref += v * v;
@@ -589,11 +554,12 @@ TEST(SymmetricGram, GramProductHandlesEmptyRowsAndSingleColumn) {
 
 TEST(SymmetricGram, AddDiagonalAndMultiplyMatchDense) {
   const auto m = RandomTall(35, 10, 6);
+  const DenseVector ones(10, 1.0);
   SymmetricGram g;
   g.Reset(6);
-  m.GramProduct(g);
+  m.GramProduct(ones, g);
   g.AddDiagonal(0.9);
-  auto ref = DenseGram(m, {});
+  auto ref = DenseGram(m, ones);
   for (std::size_t i = 0; i < 6; ++i) ref[i * 6 + i] += 0.9;
 
   Rng rng(36);
@@ -607,42 +573,12 @@ TEST(SymmetricGram, AddDiagonalAndMultiplyMatchDense) {
   }
 }
 
-TEST(PackedCholesky, SolvesShiftedSpdSystem) {
-  const auto m = RandomTall(37, 30, 8);
-  SymmetricGram g;
-  g.Reset(8);
-  m.GramProduct(g);
-  PackedCholesky chol;
-  ASSERT_TRUE(chol.Factor(g, 1.3));
-  EXPECT_TRUE(chol.ok());
-
-  Rng rng(38);
-  DenseVector b(8), x(8), gx(8);
-  for (auto& e : b) e = rng.NextGaussian();
-  chol.Solve(b, x);
-  // (G + 1.3 I) x must reproduce b.
-  g.Multiply(x, gx);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(gx[i] + 1.3 * x[i], b[i], 1e-9) << "row " << i;
-  }
-}
-
-TEST(PackedCholesky, RejectsIndefiniteMatrix) {
-  // An all-zero Gram with no shift has a zero pivot; Factor must refuse.
-  SymmetricGram g;
-  g.Reset(3);
-  PackedCholesky chol;
-  EXPECT_FALSE(chol.Factor(g, 0.0));
-  EXPECT_FALSE(chol.ok());
-  EXPECT_TRUE(chol.Factor(g, 1e-3));  // any positive shift fixes it
-}
-
-// ----------------------------------------- blocked CSR kernel contracts ----
+// ----------------------------------------------- CSR kernel contracts ----
 
 namespace {
 
 /// Scalar reference loops with the natural sequential accumulation order —
-/// the order the blocked kernels are required to preserve bitwise (the
+/// the order the CSR kernels are required to preserve bitwise (the
 /// committed sweep baselines pin convergence integers that depend on it).
 void ScalarMultiply(const CsrMatrix& m, std::span<const double> x,
                     std::span<double> out) {
@@ -674,8 +610,8 @@ void ScalarTransposeMultiplyAdd(const CsrMatrix& m, std::span<const double> v,
 
 TEST(CsrMatrix, BlockedMultiplyIsBitwiseEqualToScalar) {
   for (const std::uint64_t seed : {41, 42, 43}) {
-    // Odd row counts exercise the tail; empty rows exercise the lockstep
-    // loop's early exit; single-column matrices the degenerate shape.
+    // Empty rows, a single-column matrix and a short one cover the
+    // degenerate shapes.
     const std::vector<std::tuple<std::size_t, std::size_t, bool>> shapes = {
         {23, 9, true}, {16, 1, false}, {3, 7, true}};
     for (const auto& [rows, cols, empty] : shapes) {

@@ -65,6 +65,24 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json::Parse(""), InvalidArgument);
 }
 
+// Peers and files feed the parser, so nesting is capped instead of
+// recursing until the stack runs out.
+TEST(JsonParse, RejectsHostileNestingDepth) {
+  const std::string hostile(1u << 20, '[');
+  EXPECT_THROW(json::Parse(hostile), InvalidArgument);
+  EXPECT_THROW(ParseWireObsPayload(hostile), InvalidArgument);
+
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const json::Value v = json::Parse(nested(64));
+  ASSERT_TRUE(v.is_array());
+  EXPECT_NO_THROW(json::Parse(nested(json::Scanner::kMaxDepth)));
+  EXPECT_THROW(json::Parse(nested(json::Scanner::kMaxDepth + 1)),
+               InvalidArgument);
+}
+
 // ----------------------------------------------------------- trace load ----
 
 TEST(LoadChromeTrace, ReadsTracksSpansAndNesting) {

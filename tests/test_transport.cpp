@@ -417,6 +417,47 @@ TEST(WireConformance, SparseHierarchicalMatchesSimulator) {
   EXPECT_EQ(redist_msgs, ml.redistribution_messages());
 }
 
+// A header-only sparse frame claiming nnz = 2^60: 8 * (1 + nnz) + 8 * nnz
+// wraps to 8 bytes in 64-bit arithmetic, which is exactly the frame's size.
+// The receiver must reject the frame, not trust the wrapped size.
+TEST(WireConformance, RejectsOverflowingSparseFrame) {
+  InprocMesh mesh(2);
+  const std::uint64_t nnz = std::uint64_t{1} << 60;
+  std::vector<std::byte> frame(sizeof(nnz));
+  std::memcpy(frame.data(), &nnz, sizeof(nnz));
+  // Rank 1 plays a hostile peer: its gather contribution to the naive root
+  // is the first collective's base tag (0).
+  mesh.endpoint(1).Post(0, 0, frame);
+
+  WireCollectives wc(mesh.endpoint(0), comm::ElemPricing{});
+  const std::vector<Transport::Rank> members = {0, 1};
+  const SparseVector input(8, {}, {});
+  SparseVector out;
+  WireStats st;
+  EXPECT_THROW(
+      wc.AllreduceSparse(AllreduceKind::kNaive, members, input, out, st),
+      InvalidArgument);
+}
+
+// A 7-byte frame holds no whole double. The ring's dense receive must reject
+// it before copying the bytes into a vector sized for 7 / 8 = 0 elements.
+TEST(WireConformance, RejectsTruncatedDenseFrame) {
+  InprocMesh mesh(2);
+  const std::vector<std::byte> frame(7, std::byte{0x5a});
+  // Rank 1 plays a hostile peer: its first scatter-reduce block to rank 0
+  // carries the first collective's base tag (0).
+  mesh.endpoint(1).Post(0, 0, frame);
+
+  WireCollectives wc(mesh.endpoint(0), comm::ElemPricing{});
+  const std::vector<Transport::Rank> members = {0, 1};
+  const DenseVector input(8, 1.0);
+  DenseVector out;
+  WireStats st;
+  EXPECT_THROW(
+      wc.AllreduceDense(AllreduceKind::kRing, members, input, out, st),
+      InvalidArgument);
+}
+
 // --- observability collection plane ---------------------------------------
 
 TEST(WireObsCollection, FourRankPlaneMergesMetricsAndLanes) {
