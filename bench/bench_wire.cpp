@@ -223,8 +223,9 @@ void RunWorker(const TcpOptions& opt, std::uint64_t dim, std::uint32_t reps,
         PhaseResult pr;
         pr.name = names[i];
         pr.modeled_s = modeled_split[i];
-        const std::uint64_t n = after.count - before[i].count;
-        pr.measured_s = n > 0 ? (after.sum - before[i].sum) / n : 0.0;
+        const std::uint64_t samples = after.count - before[i].count;
+        pr.measured_s =
+            samples > 0 ? (after.sum - before[i].sum) / samples : 0.0;
         res.phases.push_back(std::move(pr));
       }
     }

@@ -8,6 +8,8 @@
 #   PSRA_CHECK_SANITIZE=address,undefined   sanitized gate (e.g. build-asan)
 #   PSRA_CHECK_BUILD_TYPE=Debug             CMAKE_BUILD_TYPE (default Release)
 #   PSRA_CHECK_NATIVE_ARCH=OFF              portable codegen for CI runners
+#   PSRA_CHECK_WERROR=ON                    warnings are errors
+#                                           (PSRA_WARNINGS_AS_ERRORS)
 #   PSRA_CHECK_LARGE_SWEEP=1                also run the large-N gates: the
 #                                           128/1024-node multi-rack sweep
 #                                           (PSR < Ring + baseline diff), a
@@ -34,6 +36,9 @@ if [[ -n "${PSRA_CHECK_BUILD_TYPE:-}" ]]; then
 fi
 if [[ -n "${PSRA_CHECK_NATIVE_ARCH:-}" ]]; then
   cmake_args+=(-DPSRA_NATIVE_ARCH="$PSRA_CHECK_NATIVE_ARCH")
+fi
+if [[ -n "${PSRA_CHECK_WERROR:-}" ]]; then
+  cmake_args+=(-DPSRA_WARNINGS_AS_ERRORS="$PSRA_CHECK_WERROR")
 fi
 
 echo "== configure =="

@@ -124,28 +124,6 @@ void WorkerSet::ReserveWorkspaces() {
   for (auto& ws : tron_ws_) ws.Resize(static_cast<std::size_t>(dim()));
 }
 
-void WorkerSet::XWStepAll(std::vector<double>& flops_out,
-                          std::vector<double>* wall_out) {
-  PSRA_REQUIRE(flops_out.size() == size(), "flops_out size mismatch");
-  PSRA_REQUIRE(wall_out == nullptr || wall_out->size() == size(),
-               "wall_out size mismatch");
-  ReserveWorkspaces();
-  auto body = [&](std::size_t i) {
-    if (wall_out != nullptr) {
-      const double t0 = engine::ThreadPool::ThreadSeconds();
-      flops_out[i] = XWStep(i);
-      (*wall_out)[i] = engine::ThreadPool::ThreadSeconds() - t0;
-    } else {
-      flops_out[i] = XWStep(i);
-    }
-  };
-  if (options_->pool != nullptr) {
-    options_->pool->ParallelFor(static_cast<std::size_t>(size()), body);
-  } else {
-    engine::SerialFor(static_cast<std::size_t>(size()), body);
-  }
-}
-
 void WorkerSet::XWStepAll(std::span<const simnet::Rank> ranks,
                           std::vector<double>& flops_out,
                           std::vector<double>* wall_out) {

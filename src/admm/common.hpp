@@ -200,17 +200,13 @@ class WorkerSet {
   /// i against its current z_i/y_i. Returns flops performed.
   double XWStep(std::size_t i);
 
-  /// Runs XWStep for all workers, optionally on the host pool. flops_out
-  /// must have size() entries. When `wall_out` is non-null (also size()
-  /// entries) each worker's slot receives the host seconds its own step took
-  /// on whichever pool thread ran it — per-worker wall attribution for the
+  /// Runs XWStep for the workers in `ranks` (every worker on a fault-free
+  /// run; crashed workers compute nothing), optionally on the host pool.
+  /// flops_out must have size() entries; entries of workers not in `ranks`
+  /// are left untouched. When `wall_out` is non-null (also size() entries)
+  /// each worker's slot receives the host seconds its own step took on
+  /// whichever pool thread ran it — per-worker wall attribution for the
   /// tracer; pass null on untraced runs to avoid the clock reads.
-  void XWStepAll(std::vector<double>& flops_out,
-                 std::vector<double>* wall_out = nullptr);
-
-  /// Runs XWStep for the workers in `ranks` only (the fault path: crashed
-  /// workers compute nothing). flops_out must have size() entries; entries
-  /// of workers not in `ranks` are left untouched. `wall_out` as above.
   void XWStepAll(std::span<const simnet::Rank> ranks,
                  std::vector<double>& flops_out,
                  std::vector<double>* wall_out = nullptr);

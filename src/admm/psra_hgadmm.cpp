@@ -177,7 +177,7 @@ struct PsraSeries {
 };
 
 /// Folds one collective invocation's stats into the hoisted metric slots.
-/// Split out of RunInterAllreduce so the batched path can run collectives in
+/// Kept out of RunInterAllreduce so the group path can run collectives in
 /// parallel and replay the registry updates serially, in formation order.
 void AccumulateArMetrics(ArMetrics& am, const InterWorkspace& ws) {
   ++*am.invocations;
@@ -192,20 +192,26 @@ void AccumulateArMetrics(ArMetrics& am, const InterWorkspace& ws) {
 
 /// Runs one inter-node allreduce over `w_inputs` (one dense vector per group
 /// member), leaving the dense sum and per-member finish times in `ws`. With
-/// a FaultContext the fault-tolerant entry points run instead (exactly the
-/// plain ones when the plan is empty).
+/// `ml` set, the recursive node -> rack -> cluster collective runs instead of
+/// a flat one over `group` (same InterWorkspace contract: global sum,
+/// per-leader finish times, traffic totals). With a FaultContext the
+/// fault-tolerant entry points run (exactly the plain ones when the plan is
+/// empty).
 void RunInterAllreduce(const comm::GroupComm& group,
                        const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
                        std::span<const simnet::VirtualTime> starts,
-                       InterWorkspace& ws, comm::FaultContext* fc = nullptr,
-                       ArMetrics* am = nullptr) {
+                       InterWorkspace& ws, comm::FaultContext* fc,
+                       comm::MultiLevelAllreduce* ml) {
   if (sparse_comm) {
     ws.sparse_inputs.resize(w_inputs.size());
     for (std::size_t i = 0; i < w_inputs.size(); ++i) {
       ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
     }
-    if (fc != nullptr) {
+    if (ml != nullptr) {
+      ml->ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch,
+                       ws.sparse_sum, ws.stats);
+    } else if (fc != nullptr) {
       alg.ReduceSparseFaulty(group, ws.sparse_inputs, starts, *fc, ws.scratch,
                              ws.sparse_sum, ws.stats);
     } else {
@@ -215,40 +221,14 @@ void RunInterAllreduce(const comm::GroupComm& group,
     ws.sparse_sum.ToDense(ws.sum);
     ws.result_nnz = ws.sparse_sum.nnz();
   } else {
-    if (fc != nullptr) {
+    if (ml != nullptr) {
+      ml->ReduceDense(alg, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
+    } else if (fc != nullptr) {
       alg.ReduceDenseFaulty(group, w_inputs, starts, *fc, ws.scratch, ws.sum,
                             ws.stats);
     } else {
       alg.ReduceDense(group, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
     }
-    ws.result_nnz = ws.sum.size();
-  }
-  ws.elements = ws.stats.elements_sent;
-  ws.messages = ws.stats.messages_sent;
-  if (am != nullptr) AccumulateArMetrics(*am, ws);
-}
-
-/// Multi-rack counterpart of RunInterAllreduce: the recursive node -> rack
-/// -> cluster collective fills the same InterWorkspace contract (global sum,
-/// per-leader finish times, traffic totals), so the batched replay below
-/// consumes either interchangeably.
-void RunMultiLevelAllreduce(comm::MultiLevelAllreduce& ml,
-                            const comm::AllreduceAlgorithm& alg,
-                            bool sparse_comm,
-                            std::span<const linalg::DenseVector> w_inputs,
-                            std::span<const simnet::VirtualTime> starts,
-                            InterWorkspace& ws) {
-  if (sparse_comm) {
-    ws.sparse_inputs.resize(w_inputs.size());
-    for (std::size_t i = 0; i < w_inputs.size(); ++i) {
-      ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
-    }
-    ml.ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch, ws.sparse_sum,
-                    ws.stats);
-    ws.sparse_sum.ToDense(ws.sum);
-    ws.result_nnz = ws.sparse_sum.nnz();
-  } else {
-    ml.ReduceDense(alg, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
     ws.result_nnz = ws.sum.size();
   }
   ws.elements = ws.stats.elements_sent;
@@ -265,8 +245,9 @@ struct GroupSlot {
   std::vector<linalg::DenseVector> inputs;  // leader aggregate snapshots
   std::vector<simnet::VirtualTime> starts;
   std::optional<comm::GroupComm> comm;  // rebound in place on reuse
-  std::span<const simnet::NodeId> members;  // view into the cycle's batch
-  simnet::VirtualTime start = 0.0;          // earliest collective start
+  std::span<const simnet::NodeId> members;  // the group's live members
+  std::vector<simnet::NodeId> live;  // faulty runs: members still standing
+  simnet::VirtualTime start = 0.0;   // earliest collective start
   std::uint64_t contributors = 0;           // workers behind the group sum
   double wall = 0.0;  // measured host seconds of the collective (traced)
 };
@@ -371,17 +352,24 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     }
   }
 
-  // Per-node structures: member ranks, leader, intra-node communicator.
+  // Per-node structures: member ranks, elected leader, intra-node
+  // communicator. cur_leaders / node_alive / intra_alive are the live views
+  // the iteration reads: they start as the elected leaders, full nodes and
+  // their communicators, and faulty runs rebuild them every iteration from
+  // the workers still up.
   std::vector<std::vector<simnet::Rank>> node_ranks(nodes);
   std::vector<simnet::Rank> leaders(nodes);
-  std::vector<comm::GroupComm> intra;
-  intra.reserve(nodes);
+  std::vector<comm::GroupComm> intra_alive;
+  intra_alive.reserve(nodes);
   for (simnet::NodeId n = 0; n < nodes; ++n) {
     node_ranks[n] = topo.RanksOnNode(n);
     leaders[n] = wlg::ElectLeader(topo, node_ranks[n], cfg_.leader_policy,
                                   cfg_.cluster.seed);
-    intra.emplace_back(&topo, &cost, node_ranks[n]);
+    intra_alive.emplace_back(&topo, &cost, node_ranks[n]);
   }
+  std::vector<std::vector<simnet::Rank>> node_alive = node_ranks;
+  std::vector<simnet::Rank> cur_leaders = leaders;
+  std::vector<char> node_out(nodes, 0);     // node dropped from this round
   // Inter-node transfers optionally run in mixed precision: fp32 values on
   // the wire (4 bytes) instead of fp64.
   simnet::CostModelConfig inter_cost_cfg = cfg_.cluster.cost;
@@ -422,31 +410,33 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   }
   std::vector<linalg::DenseVector> inputs;  // member w snapshots
   std::vector<simnet::VirtualTime> starts;
-  // Hierarchical-path scratch.
+  // Hierarchical/dynamic scratch: node reductions, the pooled group
+  // lifecycle (cycle batch + size-keyed collective slots) and the flattened
+  // cross-group consensus-update work list.
   std::vector<comm::ReduceResult> red(nodes);
   comm::BroadcastResult bc;
   std::vector<simnet::VirtualTime> leader_ready(nodes);
   std::vector<simnet::VirtualTime> report(nodes);
-  std::vector<std::pair<std::vector<simnet::NodeId>, simnet::VirtualTime>>
-      groups;
-  std::vector<simnet::Rank> group_leaders(nodes);
-  std::vector<linalg::DenseVector> ginputs(nodes);
-  std::vector<simnet::VirtualTime> gstarts(nodes);
-  // Batched non-faulty hierarchical/dynamic path: the pooled group
-  // lifecycle (cycle batch + size-keyed collective slots) and the flattened
-  // cross-group consensus-update work list.
   const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
+  std::vector<simnet::VirtualTime> all_starts(world);
+  // Survivor snapshots of a node with a worker down (a full node reduces
+  // straight from w_all()).
+  std::vector<std::vector<linalg::DenseVector>> node_inputs(nodes);
+  std::vector<std::vector<simnet::VirtualTime>> node_starts(nodes);
+  std::vector<simnet::NodeId> active_nodes;
+  std::vector<wlg::LeaderReport> leader_reports;
+  active_nodes.reserve(nodes);
+  leader_reports.reserve(nodes);
   wlg::GroupWorkspace gws;
   gws.groups.Reserve(nodes);
-  std::vector<simnet::NodeId> all_nodes(nodes);
-  for (simnet::NodeId n = 0; n < nodes; ++n) all_nodes[n] = n;
-  std::vector<simnet::VirtualTime> all_starts(world);
   GroupSlotArena garena(nodes);
   std::vector<GroupSlot*> gslots;
   gslots.reserve(nodes);
-  std::vector<simnet::Rank> zy_first;  // per group: the worker computing z
+  std::vector<simnet::Rank> zy_first;        // per group: the worker computing z
+  std::vector<const GroupSlot*> zy_slot;     // ... and the group it serves
   std::vector<simnet::Rank> zy_copy_w, zy_copy_src;  // flattened copy pairs
   zy_first.reserve(nodes);
+  zy_slot.reserve(nodes);
   zy_copy_w.reserve(world);
   zy_copy_src.reserve(world);
   std::vector<double> xw_wall;  // per-worker x-update host seconds (traced)
@@ -501,29 +491,16 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   constexpr std::uint64_t kNever = ~std::uint64_t{0};
   comm::FaultContext fctx;
   fctx.plan = faulty ? &faults : nullptr;
+  comm::FaultContext* const fc = faulty ? &fctx : nullptr;
   RunCheckpoint ckpt;
   std::vector<char> down_now;        // 1 = worker currently down
   std::vector<std::uint64_t> up_at;  // recovery iteration (kNever = none)
-  std::vector<simnet::Rank> alive;
-  std::vector<std::vector<simnet::Rank>> node_alive;
-  std::vector<std::optional<comm::GroupComm>> intra_alive;
-  std::vector<simnet::Rank> cur_leaders;
-  std::vector<char> node_active;  // node has >= 1 alive worker
-  std::vector<char> node_out;     // node dropped from the current round
-  std::vector<wlg::LeaderReport> leader_reports;
-  std::vector<simnet::NodeId> active_nodes;
-  std::optional<comm::GroupComm> flat_sub;  // survivor group, flat mode
+  std::vector<simnet::Rank> alive = everyone;  // live view of the workers
+  std::optional<comm::GroupComm> flat_sub;     // survivor group, flat mode
   std::vector<simnet::Rank> zy_ranks;
-  std::vector<simnet::NodeId> live_members;
   if (faulty) {
     down_now.assign(world, 0);
     up_at.assign(world, kNever);
-    node_alive.assign(nodes, {});
-    intra_alive.assign(nodes, std::nullopt);
-    cur_leaders = leaders;
-    node_active.assign(nodes, 1);
-    node_out.assign(nodes, 0);
-    alive.reserve(world);
     // Iteration-0 checkpoint: a worker crashing before the first periodic
     // capture restarts from the common initial state.
     CaptureRunCheckpoint(ws, 0, everyone, ckpt,
@@ -565,7 +542,6 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     eo.MarkAll(ledger);
 
     // ---- Fault bookkeeping: recoveries, fresh crashes, per-node views ----
-    bool any_down = false;
     if (faulty) {
       fctx.iteration = iter;
       fctx.channel = 0;
@@ -605,10 +581,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
                       ? " (permanent)"
                       : " (crash-restart)");
         }
-        if (down_now[i] != 0) {
-          any_down = true;
-          ++result.faults.down_worker_iterations;
-        }
+        if (down_now[i] != 0) ++result.faults.down_worker_iterations;
       }
       alive.clear();
       for (std::size_t i = 0; i < world; ++i) {
@@ -622,9 +595,8 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             node_alive[n].push_back(r);
           }
         }
-        node_active[n] = node_alive[n].empty() ? 0 : 1;
         node_out[n] = 0;
-        if (node_active[n] == 0) continue;
+        if (node_alive[n].empty()) continue;
         simnet::Rank lead = leaders[n];
         if (down_now[static_cast<std::size_t>(lead)] != 0) {
           lead = wlg::ReElectLeader(topo, node_alive[n], cfg_.leader_policy,
@@ -638,33 +610,24 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
               << cur_leaders[n] << ") at iter " << iter;
           cur_leaders[n] = lead;
         }
-        if (!intra_alive[n].has_value() ||
-            intra_alive[n]->members() != node_alive[n]) {
-          intra_alive[n].emplace(&topo, &cost, node_alive[n]);
+        if (intra_alive[n].members() != node_alive[n]) {
+          intra_alive[n].Rebind(node_alive[n]);
         }
       }
     }
 
     // ---- x / w updates (parallel local computation, paper Alg. 1) --------
-    // On traced runs each worker's host seconds are measured inside the
-    // pooled loop (per-thread stopwatches), so the trace attributes wall
-    // time to the worker that spent it rather than an even split.
+    // Crashed workers compute nothing. On traced runs each worker's host
+    // seconds are measured inside the pooled loop (per-thread stopwatches),
+    // so the trace attributes wall time to the worker that spent it rather
+    // than an even split.
     std::vector<double>* const wall = eo.tracing() ? &xw_wall : nullptr;
-    if (faulty && any_down) {
-      ws.XWStepAll(alive, flops, wall);
-      for (const simnet::Rank r : alive) {
-        const auto i = static_cast<std::size_t>(r);
-        const double mult =
-            ComputeMultiplier(cfg_.cluster, topo, stragglers, r, iter);
-        ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
-      }
-    } else {
-      ws.XWStepAll(flops, wall);
-      for (std::size_t i = 0; i < world; ++i) {
-        const double mult = ComputeMultiplier(
-            cfg_.cluster, topo, stragglers, static_cast<simnet::Rank>(i), iter);
-        ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
-      }
+    ws.XWStepAll(alive, flops, wall);
+    for (const simnet::Rank r : alive) {
+      const auto i = static_cast<std::size_t>(r);
+      const double mult =
+          ComputeMultiplier(cfg_.cluster, topo, stragglers, r, iter);
+      ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
     }
     if (wall != nullptr) {
       eo.SpanAllWall("x_update", ledger, iter, xw_wall);
@@ -673,69 +636,51 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     }
 
     if (cfg_.grouping == GroupingMode::kFlat) {
-      // ---- PSRA-ADMM: one global allreduce over all workers --------------
+      // ---- PSRA-ADMM: one global allreduce over the live workers ---------
       // The collective only reads its inputs, so the workers' w vectors go
-      // in directly; a private snapshot is taken only when mixed precision
-      // or censoring must rewrite the payload first. On faulty runs with a
-      // worker down, the collective degrades to the survivor set.
-      comm::FaultContext* const fc = faulty ? &fctx : nullptr;
-      const bool degraded = faulty && any_down;
-      const bool mutate_inputs = cfg_.mixed_precision || censoring;
-      if (degraded) {
-        if (!flat_sub.has_value() || flat_sub->members() != alive) {
-          flat_sub.emplace(&topo, &cost_inter, alive);
-        }
-        inputs.resize(alive.size());
-        starts.resize(alive.size());
-        for (std::size_t m = 0; m < alive.size(); ++m) {
-          const auto i = static_cast<std::size_t>(alive[m]);
-          inputs[m] = ws.w(i);
-          if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[m]);
-          starts[m] = ledger[i].clock;
-        }
-        RunInterAllreduce(*flat_sub, *alg, cfg_.sparse_comm, inputs, starts,
-                          iw, fc, eo.on() ? &pm.ar : nullptr);
-      } else {
-        starts.resize(world);
-        if (mutate_inputs) {
-          inputs.resize(world);
-          for (std::size_t i = 0; i < world; ++i) {
-            inputs[i] = ws.w(i);
-            if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[i]);
-            if (censoring) apply_censoring(i, iter, inputs[i]);
-          }
-        }
-        for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
-        RunInterAllreduce(*flat_global, *alg, cfg_.sparse_comm,
-                          mutate_inputs ? std::span<const linalg::DenseVector>(
-                                              inputs)
-                                        : ws.w_all(),
-                          starts, iw, fc, eo.on() ? &pm.ar : nullptr);
+      // in directly. Private snapshots are taken when mixed precision or
+      // censoring must rewrite the payload first, or when a worker is down
+      // and the collective degrades to the survivor set.
+      const bool degraded = alive.size() < world;
+      if (degraded &&
+          (!flat_sub.has_value() || flat_sub->members() != alive)) {
+        flat_sub.emplace(&topo, &cost_inter, alive);
       }
+      const bool snapshot = degraded || cfg_.mixed_precision || censoring;
+      const std::size_t np = alive.size();
+      starts.resize(np);
+      if (snapshot) inputs.resize(np);
+      for (std::size_t m = 0; m < np; ++m) {
+        const auto i = static_cast<std::size_t>(alive[m]);
+        starts[m] = ledger[i].clock;
+        if (!snapshot) continue;
+        inputs[m] = ws.w(i);
+        if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[m]);
+        if (censoring) apply_censoring(i, iter, inputs[m]);
+      }
+      RunInterAllreduce(degraded ? *flat_sub : *flat_global, *alg,
+                        cfg_.sparse_comm,
+                        snapshot ? std::span<const linalg::DenseVector>(inputs)
+                                 : ws.w_all(),
+                        starts, iw, fc, nullptr);
+      if (eo.on()) AccumulateArMetrics(pm.ar, iw);
       result.elements_sent += iw.elements;
       result.messages_sent += iw.messages;
       if (censoring) {
         linalg::Axpy(1.0, iw.sum, W_running);
         iw.sum = W_running;
       }
-      if (degraded) {
-        for (std::size_t m = 0; m < alive.size(); ++m) {
-          ledger.WaitUntil(static_cast<std::size_t>(alive[m]),
-                           iw.stats.finish_times[m]);
-        }
-      } else {
-        for (std::size_t i = 0; i < world; ++i) {
-          ledger.WaitUntil(i, iw.stats.finish_times[i]);
-        }
+      for (std::size_t m = 0; m < np; ++m) {
+        ledger.WaitUntil(static_cast<std::size_t>(alive[m]),
+                         iw.stats.finish_times[m]);
       }
       if (eo.tracing()) {
         // w_allreduce on each participant's track, with the collective's
         // scatter-reduce / allgather stages nested inside where they fall
         // within the participant's own [start, finish] window.
         const simnet::VirtualTime sr = iw.stats.scatter_reduce_done;
-        const std::size_t np = degraded ? alive.size() : world;
-        for (std::size_t m = 0; m < np; ++m) {
-          const auto i = degraded ? static_cast<std::size_t>(alive[m]) : m;
+        for (const simnet::Rank r : alive) {
+          const auto i = static_cast<std::size_t>(r);
           const simnet::VirtualTime b = eo.mark(i);
           const simnet::VirtualTime e = ledger[i].clock;
           if (sr > b && sr < e) {
@@ -748,8 +693,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       // Consensus update over this round's participants. Members the
       // collective excluded after exhausting retries keep their state
       // frozen for the round, like a worker that timed out.
-      std::span<const simnet::Rank> participants(everyone);
-      if (degraded) participants = alive;
+      std::span<const simnet::Rank> participants(alive);
       if (fc != nullptr && !fc->excluded.empty()) {
         zy_ranks.clear();
         std::size_t e = 0;
@@ -776,26 +720,39 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           eo.SpanWall("z_y_update", ledger, i, iter, zy_wall[i]);
         }
       }
-    } else if (!faulty) {
-      // ---- Hierarchical/dynamic, batched (the non-faulty hot path) --------
+    } else {
+      // ---- Hierarchical/dynamic (paper §4.3) ------------------------------
       // Node reductions are independent, so all of them run as ONE
-      // ParallelFor over nodes. Each node's inputs are its workers' live w
-      // vectors — node n owns the contiguous rank range [n*wpn, (n+1)*wpn),
-      // so a subspan of w_all() replaces the per-member snapshot copies the
-      // serial flow used to make. Ledger charges, metrics and spans replay
-      // serially afterwards in node order, so every observable stream is
-      // identical to the one-node-at-a-time flow.
+      // ParallelFor over the active nodes. A full node's inputs are its
+      // workers' live w vectors — node n owns the contiguous rank range
+      // [n*wpn, (n+1)*wpn), so a subspan of w_all() serves without copies;
+      // a node with a worker down snapshots its survivors' vectors. Ledger
+      // charges, metrics and spans replay serially afterwards in node order,
+      // so every observable stream is that of a one-node-at-a-time flow.
       for (std::size_t i = 0; i < world; ++i) all_starts[i] = ledger[i].clock;
       const bool walled = wall != nullptr;  // measured wall attribution on
       auto reduce_node = [&](std::size_t n) {
+        if (node_alive[n].empty()) return;
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
-        const comm::GroupComm& ic = intra[n];
-        const comm::GroupRank leader_g = ic.LocalRank(leaders[n]);
-        comm::ReduceToLeader(
-            ic, leader_g, ws.w_all().subspan(n * wpn, wpn),
+        const auto& members = node_alive[n];
+        std::span<const linalg::DenseVector> w_in =
+            ws.w_all().subspan(n * wpn, wpn);
+        std::span<const simnet::VirtualTime> t_in =
             std::span<const simnet::VirtualTime>(all_starts).subspan(n * wpn,
-                                                                     wpn),
-            red[n]);
+                                                                     wpn);
+        if (members.size() != wpn) {
+          node_inputs[n].resize(members.size());
+          node_starts[n].resize(members.size());
+          for (std::size_t m = 0; m < members.size(); ++m) {
+            node_inputs[n][m] = ws.w(members[m]);
+            node_starts[n][m] = all_starts[members[m]];
+          }
+          w_in = node_inputs[n];
+          t_in = node_starts[n];
+        }
+        const comm::GroupComm& ic = intra_alive[n];
+        comm::ReduceToLeader(ic, ic.LocalRank(cur_leaders[n]), w_in, t_in,
+                             red[n]);
         if (walled) red_wall[n] = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -805,8 +762,9 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         engine::SerialFor(static_cast<std::size_t>(nodes), reduce_node);
       }
       for (simnet::NodeId n = 0; n < nodes; ++n) {
-        const auto& members = node_ranks[n];
-        const simnet::Rank lead = leaders[n];
+        if (node_alive[n].empty()) continue;
+        const auto& members = node_alive[n];
+        const simnet::Rank lead = cur_leaders[n];
         result.elements_sent += red[n].elements_sent;
         result.messages_sent += red[n].messages_sent;
         for (std::size_t m = 0; m < members.size(); ++m) {
@@ -834,26 +792,52 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Group formation into the pooled cycle batch ---------------------
+      // A leader dying mid-round (faulty runs only) drops its node from the
+      // rest of the iteration: the hierarchical group forms without it; a
+      // dynamic-mode leader dies right after reporting, so the GG withdraws
+      // it while still queued (the survivors regroup) or, when its group
+      // already formed, it is filtered out of that group below.
       if (cfg_.grouping == GroupingMode::kHierarchical) {
         simnet::VirtualTime all_ready = 0.0;
+        active_nodes.clear();
         for (simnet::NodeId n = 0; n < nodes; ++n) {
+          if (node_alive[n].empty()) continue;
+          if (faulty) {
+            if (const auto death = faults.LeaderDeathAt(n, iter)) {
+              kill_leader_mid_round(n, *death, iter);
+              continue;
+            }
+          }
+          active_nodes.push_back(n);
           all_ready = std::max(all_ready, leader_ready[n]);
         }
         gws.groups.Clear();
-        gws.groups.PushGroup(all_nodes, all_ready);
+        gws.groups.PushGroup(active_nodes, all_ready);
       } else {
         // Leaders report to the GG (one small message each, paper Alg. 3).
+        leader_reports.clear();
         for (simnet::NodeId n = 0; n < nodes; ++n) {
-          ledger.ChargeComm(leaders[n], request_cost);
+          if (node_alive[n].empty()) continue;
+          const simnet::Rank lead = cur_leaders[n];
+          ledger.ChargeComm(lead, request_cost);
           ++result.messages_sent;
-          report[n] = ledger[leaders[n]].clock;
+          report[n] = ledger[lead].clock;
+          wlg::LeaderReport lr;
+          lr.node = n;
+          lr.time = report[n];
+          if (faulty) {
+            if (const auto death = faults.LeaderDeathAt(n, iter)) {
+              lr.dies_at = report[n];  // dies right after reporting
+              kill_leader_mid_round(n, *death, iter);
+            }
+          }
+          leader_reports.push_back(lr);
           if (eo.on()) {
             ++*pm.gg_reports;
-            eo.Span("gg_report", ledger,
-                    static_cast<std::size_t>(leaders[n]), iter);
+            eo.Span("gg_report", ledger, static_cast<std::size_t>(lead), iter);
           }
         }
-        wlg::RunGroupingCycle(gg, report, gws);
+        wlg::RunGroupingCycle(gg, leader_reports, gws);
         for (std::size_t gi = 0; gi < gws.groups.size(); ++gi) {
           const wlg::GroupView& view = gws.groups.group(gi);
           const auto gmembers = gws.groups.members(view);
@@ -876,23 +860,38 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Inter-node allreduce, one ParallelFor across all groups ---------
-      // Every formed group leases a size-keyed slot (warm buffers + a
-      // rebindable communicator) and the collectives — which only read the
-      // ledger and write slot-local state — run concurrently. Registry and
-      // ledger updates replay serially in formation order below; groups are
-      // node-disjoint, so the replayed values match the serial flow exactly.
+      // Every group with a live member leases a size-keyed slot (warm
+      // buffers + a rebindable communicator) and the collectives — which
+      // only read the ledger and write slot-local state — run concurrently.
+      // Under faults they run serially in formation order instead: fault
+      // coins are keyed by the channel each invocation draws from the shared
+      // FaultContext (DESIGN.md §8). Registry and ledger updates replay
+      // serially in formation order below; groups are node-disjoint, so the
+      // replayed values match a one-group-at-a-time flow exactly.
       garena.RecycleAll();
       gslots.clear();
       const bool dyn = cfg_.grouping == GroupingMode::kDynamicGroups;
       for (std::size_t gi = 0; gi < gws.groups.size(); ++gi) {
         const wlg::GroupView& view = gws.groups.group(gi);
-        GroupSlot& slot = garena.Lease(view.size);
-        slot.members = gws.groups.members(view);
+        std::span<const simnet::NodeId> members = gws.groups.members(view);
+        std::size_t live = 0;
+        for (const simnet::NodeId n : members) live += node_out[n] == 0;
+        if (live == 0) continue;
+        GroupSlot& slot = garena.Lease(live);
+        if (live != members.size()) {
+          slot.live.clear();
+          for (const simnet::NodeId n : members) {
+            if (node_out[n] == 0) slot.live.push_back(n);
+          }
+          members = slot.live;
+        }
+        slot.members = members;
         // Dynamic groups start after the GG's notify message; the fixed
         // hierarchical group starts as soon as every leader is ready.
         slot.start = dyn ? view.formed_at + request_cost : view.formed_at;
         gslots.push_back(&slot);
       }
+      comm::MultiLevelAllreduce* const ml = mlar ? &*mlar : nullptr;
       auto run_group = [&](std::size_t gi) {
         GroupSlot& slot = *gslots[gi];
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
@@ -903,37 +902,40 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         slot.contributors = 0;
         for (std::size_t j = 0; j < gsize; ++j) {
           const simnet::NodeId n = slot.members[j];
-          slot.leaders[j] = leaders[n];
+          slot.leaders[j] = cur_leaders[n];
           slot.inputs[j] = red[n].value;
           if (cfg_.mixed_precision) linalg::RoundToFloat(slot.inputs[j]);
           slot.starts[j] = std::max(slot.start, ledger[slot.leaders[j]].clock);
-          slot.contributors += node_ranks[n].size();
+          slot.contributors += node_alive[n].size();
         }
-        if (multi_rack) {
-          // One hierarchical group spanning every node: run the collective
-          // recursively (per rack, then across rack leaders). mlar is shared
-          // state, but multi_rack implies exactly one group per cycle.
-          RunMultiLevelAllreduce(*mlar, *alg, cfg_.sparse_comm, slot.inputs,
-                                 slot.starts, slot.iw);
+        if (slot.comm.has_value()) {
+          slot.comm->Rebind(slot.leaders);
         } else {
-          if (slot.comm.has_value()) {
-            slot.comm->Rebind(slot.leaders);
-          } else {
-            slot.comm.emplace(&topo, &cost_inter, slot.leaders);
+          slot.comm.emplace(&topo, &cost_inter, slot.leaders);
+        }
+        // Multi-rack runs have exactly one (hierarchical) group, so the
+        // shared recursive collective is never run concurrently.
+        RunInterAllreduce(*slot.comm, *alg, cfg_.sparse_comm, slot.inputs,
+                          slot.starts, slot.iw, fc, ml);
+        if (fc != nullptr) {
+          // Nodes the collective timed out of this round contributed nothing
+          // to the sum: no broadcast, and their state stays frozen.
+          for (const comm::GroupRank g : fc->excluded) {
+            const simnet::NodeId n = slot.members[g];
+            node_out[n] = 1;
+            slot.contributors -= node_alive[n].size();
           }
-          RunInterAllreduce(*slot.comm, *alg, cfg_.sparse_comm, slot.inputs,
-                            slot.starts, slot.iw);
         }
         if (walled) slot.wall = engine::ThreadPool::ThreadSeconds() - t0;
       };
-      if (options.pool != nullptr) {
+      if (options.pool != nullptr && !faulty) {
         options.pool->ParallelFor(gslots.size(), run_group);
       } else {
         engine::SerialFor(gslots.size(), run_group);
       }
 
       // Serial replay: metrics, leader waits, and the intra-node broadcast,
-      // group by group in formation order (the order the serial flow used).
+      // group by group in formation order.
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
         GroupSlot& slot = *gslots[gi];
         const std::size_t gsize = slot.members.size();
@@ -977,7 +979,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         for (std::size_t j = 0; j < gsize; ++j) {
           const simnet::NodeId n = slot.members[j];
-          const simnet::Rank lead = leaders[n];
+          const simnet::Rank lead = slot.leaders[j];
           ledger.WaitUntil(lead, slot.iw.stats.finish_times[j]);
           if (eo.tracing()) {
             const auto li = static_cast<std::size_t>(lead);
@@ -993,13 +995,14 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             eo.SpanWall("w_allreduce", ledger, li, iter,
                         slot.wall / static_cast<double>(gsize));
           }
+          if (node_out[n] != 0) continue;  // timed out of the collective
 
           // Leader broadcasts W to its node (paper Alg. 1 step 11).
-          const auto& nmembers = node_ranks[n];
-          const comm::GroupRank leader_g = intra[n].LocalRank(lead);
+          const auto& nmembers = node_alive[n];
+          const comm::GroupComm& ic = intra_alive[n];
           const std::size_t elems =
               cfg_.sparse_comm ? slot.iw.result_nnz : d_sz;
-          comm::BroadcastFromLeader(intra[n], leader_g, elems,
+          comm::BroadcastFromLeader(ic, ic.LocalRank(lead), elems,
                                     ledger[lead].clock, bc);
           result.elements_sent += bc.elements_sent;
           result.messages_sent += bc.messages_sent;
@@ -1025,31 +1028,34 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Consensus update, flattened across all groups -------------------
-      // One worker per group computes z in full; every other member worker
-      // adopts it (bitwise-identical, same shortcut as ZYStepAll) in a
+      // One worker per group computes z in full; every other live member
+      // worker adopts it (bitwise-identical, same shortcut as ZYStepAll) in a
       // single ParallelFor over the flattened (group, worker) list — one
-      // fork-join for the whole cluster instead of one per node. Ledger
-      // charges and spans replay serially per worker afterwards, in the same
-      // per-worker order as the serial flow.
+      // fork-join for the whole cluster instead of one per node. Nodes out
+      // of the round keep their state frozen. Ledger charges and spans
+      // replay serially per worker afterwards.
       zy_first.clear();
+      zy_slot.clear();
       zy_copy_w.clear();
       zy_copy_src.clear();
-      for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
-        const GroupSlot& slot = *gslots[gi];
-        const simnet::Rank gfirst = node_ranks[slot.members[0]][0];
-        zy_first.push_back(gfirst);
-        for (const simnet::NodeId n : slot.members) {
-          for (const simnet::Rank r : node_ranks[n]) {
-            if (r != gfirst) {
+      for (const GroupSlot* slot : gslots) {
+        const std::size_t first = zy_first.size();
+        for (const simnet::NodeId n : slot->members) {
+          if (node_out[n] != 0) continue;
+          for (const simnet::Rank r : node_alive[n]) {
+            if (zy_first.size() == first) {
+              zy_first.push_back(r);
+              zy_slot.push_back(slot);
+            } else {
               zy_copy_w.push_back(r);
-              zy_copy_src.push_back(gfirst);
+              zy_copy_src.push_back(zy_first.back());
             }
           }
         }
       }
-      auto zy_group = [&](std::size_t gi) {
-        const GroupSlot& slot = *gslots[gi];
-        const auto i = static_cast<std::size_t>(zy_first[gi]);
+      auto zy_group = [&](std::size_t k) {
+        const GroupSlot& slot = *zy_slot[k];
+        const auto i = static_cast<std::size_t>(zy_first[k]);
         if (walled) {
           const double t0 = engine::ThreadPool::ThreadSeconds();
           flops[i] = ws.ZYStep(i, slot.iw.sum, slot.contributors);
@@ -1071,250 +1077,23 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
       };
       if (options.pool != nullptr) {
-        options.pool->ParallelFor(gslots.size(), zy_group);
+        options.pool->ParallelFor(zy_first.size(), zy_group);
         options.pool->ParallelFor(zy_copy_w.size(), zy_copy);
       } else {
-        engine::SerialFor(gslots.size(), zy_group);
+        engine::SerialFor(zy_first.size(), zy_group);
         engine::SerialFor(zy_copy_w.size(), zy_copy);
       }
-      for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
-        const GroupSlot& slot = *gslots[gi];
-        for (const simnet::NodeId n : slot.members) {
-          for (const simnet::Rank r : node_ranks[n]) {
+      for (const GroupSlot* slot : gslots) {
+        for (const simnet::NodeId n : slot->members) {
+          if (node_out[n] != 0) continue;
+          for (const simnet::Rank r : node_alive[n]) {
             ledger.ChargeCompute(static_cast<std::size_t>(r),
                                  cost.ComputeTime(flops[r]));
           }
           if (eo.tracing()) {
-            for (const simnet::Rank r : node_ranks[n]) {
+            for (const simnet::Rank r : node_alive[n]) {
               const auto i = static_cast<std::size_t>(r);
               eo.SpanWall("z_y_update", ledger, i, iter, zy_wall[i]);
-            }
-          }
-        }
-      }
-    } else {
-      // ---- Hierarchical/dynamic under fault injection ----------------------
-      // The faulty path keeps the serial one-group-at-a-time flow: fault
-      // handling (timeouts, exclusions, regrouping) threads per-group state
-      // through the collective, and faulty iterations are rare and not
-      // performance-critical.
-      for (simnet::NodeId n = 0; n < nodes; ++n) {
-        if (node_active[n] == 0) continue;
-        const auto& members = node_alive[n];
-        const comm::GroupComm& ic = *intra_alive[n];
-        const simnet::Rank lead = cur_leaders[n];
-        const comm::GroupRank leader_g = ic.LocalRank(lead);
-        inputs.resize(members.size());
-        starts.resize(members.size());
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          inputs[m] = ws.w(members[m]);
-          starts[m] = ledger[members[m]].clock;
-        }
-        comm::ReduceToLeader(ic, leader_g, inputs, starts, red[n]);
-        result.elements_sent += red[n].elements_sent;
-        result.messages_sent += red[n].messages_sent;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          ledger.WaitUntil(members[m], red[n].finish_times[m]);
-        }
-        ledger.WaitUntil(lead, red[n].leader_ready);
-        if (eo.on()) {
-          *pm.intra_reduce_elements += red[n].elements_sent;
-          *pm.intra_reduce_messages += red[n].messages_sent;
-          *pm.intra_reduce_bytes +=
-              red[n].elements_sent * cfg_.cluster.cost.value_bytes;
-          if (eo.tracing()) {
-            for (std::size_t m = 0; m < members.size(); ++m) {
-              eo.Span("intra_reduce", ledger,
-                      static_cast<std::size_t>(members[m]), iter);
-            }
-          }
-        }
-        leader_ready[n] = ledger[lead].clock;
-      }
-
-      // ---- Group formation -------------------------------------------------
-      // Each formed group is (members, start time of its allreduce).
-      if (cfg_.grouping == GroupingMode::kHierarchical) {
-        // Rebuild the single group from the nodes still standing; a leader
-        // dying mid-round drops its node from this round.
-        simnet::VirtualTime all_ready = 0.0;
-        groups.clear();
-        active_nodes.clear();
-        for (simnet::NodeId n = 0; n < nodes; ++n) {
-          if (node_active[n] == 0) continue;
-          if (const auto death = faults.LeaderDeathAt(n, iter)) {
-            kill_leader_mid_round(n, *death, iter);
-            continue;
-          }
-          active_nodes.push_back(n);
-          all_ready = std::max(all_ready, leader_ready[n]);
-        }
-        groups.emplace_back(active_nodes, all_ready);
-      } else {
-        // Faulty dynamic grouping: only live nodes report; a leader dying
-        // right after its report is withdrawn from the GG queue (the
-        // survivors regroup) or, if its group already formed, excluded from
-        // that group below.
-        groups.clear();
-        leader_reports.clear();
-        for (simnet::NodeId n = 0; n < nodes; ++n) {
-          if (node_active[n] == 0) continue;
-          const simnet::Rank lead = cur_leaders[n];
-          ledger.ChargeComm(lead, request_cost);
-          ++result.messages_sent;
-          report[n] = ledger[lead].clock;
-          wlg::LeaderReport lr;
-          lr.node = n;
-          lr.time = report[n];
-          if (const auto death = faults.LeaderDeathAt(n, iter)) {
-            lr.dies_at = report[n];  // dies right after reporting
-            kill_leader_mid_round(n, *death, iter);
-          }
-          leader_reports.push_back(lr);
-          if (eo.on()) {
-            ++*pm.gg_reports;
-            eo.Span("gg_report", ledger, static_cast<std::size_t>(lead),
-                    iter);
-          }
-        }
-        for (auto& g : wlg::RunGroupingCycle(gg, leader_reports)) {
-          const simnet::VirtualTime start = g.formed_at + request_cost;
-          result.messages_sent += g.members.size();
-          if (eo.on()) {
-            *pm.gg_notifies += g.members.size();
-            if (eo.tracing()) {
-              simnet::VirtualTime first = g.formed_at;
-              for (const simnet::NodeId n : g.members) {
-                first = std::min(first, report[n]);
-              }
-              eo.AuxSpan(gg_track, "group_form", first, g.formed_at, iter);
-            }
-          }
-          PSRA_SLOG(kDebug, "wlg").At(g.formed_at)
-              << "survivors regrouped into " << g.members.size()
-              << " nodes, iter " << iter;
-          groups.emplace_back(std::move(g.members), start);
-        }
-      }
-
-      // ---- Inter-node allreduce within each group + intra broadcast --------
-      comm::FaultContext* const fc = faulty ? &fctx : nullptr;
-      for (const auto& [members, start] : groups) {
-        std::span<const simnet::NodeId> gmembers(members);
-        if (faulty) {
-          // Leaders that died after their group formed are excluded here
-          // (the ones that died while queued never made it into a group).
-          live_members.clear();
-          for (const simnet::NodeId n : gmembers) {
-            if (node_out[n] == 0) live_members.push_back(n);
-          }
-          gmembers = live_members;
-        }
-        const std::size_t gsize = gmembers.size();
-        if (gsize == 0) continue;
-        std::uint64_t contributors = 0;
-        for (std::size_t j = 0; j < gsize; ++j) {
-          const simnet::NodeId n = gmembers[j];
-          group_leaders[j] = faulty ? cur_leaders[n] : leaders[n];
-          ginputs[j] = red[n].value;
-          if (cfg_.mixed_precision) linalg::RoundToFloat(ginputs[j]);
-          gstarts[j] = std::max(start, ledger[group_leaders[j]].clock);
-          contributors += faulty ? node_alive[n].size() : node_ranks[n].size();
-        }
-        if (eo.on()) {
-          ++*pm.groups_formed;
-          pm.group_size->Observe(static_cast<double>(gsize));
-          for (std::size_t j = 0; j < gsize; ++j) {
-            const auto li = static_cast<std::size_t>(group_leaders[j]);
-            pm.gg_wait_s->Observe(
-                std::max(0.0, gstarts[j] - ledger[li].clock));
-            if (eo.tracing() && gstarts[j] > eo.mark(li)) {
-              eo.SpanAt("gg_wait", li, eo.mark(li), gstarts[j], iter);
-              eo.SetMark(li, gstarts[j]);
-            }
-          }
-        }
-        const comm::GroupComm inter(
-            &topo, &cost_inter,
-            {group_leaders.begin(), group_leaders.begin() + gsize});
-        RunInterAllreduce(inter, *alg, cfg_.sparse_comm,
-                          std::span(ginputs.data(), gsize),
-                          std::span(gstarts.data(), gsize), iw, fc,
-                          eo.on() ? &pm.ar : nullptr);
-        result.elements_sent += iw.elements;
-        result.messages_sent += iw.messages;
-        if (censoring) {  // fixed membership: fold deltas into the run sum
-          linalg::Axpy(1.0, iw.sum, W_running);
-          iw.sum = W_running;
-        }
-        if (fc != nullptr && !fc->excluded.empty()) {
-          // Nodes the collective timed out of this round contributed
-          // nothing to the sum; their workers skip the consensus update.
-          for (const comm::GroupRank g : fc->excluded) {
-            contributors -= node_alive[gmembers[g]].size();
-          }
-        }
-
-        std::size_t excl = 0;  // cursor into fc->excluded (sorted ascending)
-        for (std::size_t gi = 0; gi < gsize; ++gi) {
-          const simnet::NodeId n = gmembers[gi];
-          const simnet::Rank lead = faulty ? cur_leaders[n] : leaders[n];
-          ledger.WaitUntil(lead, iw.stats.finish_times[gi]);
-          if (eo.tracing()) {
-            const auto li = static_cast<std::size_t>(lead);
-            const simnet::VirtualTime b = eo.mark(li);
-            const simnet::VirtualTime e = ledger[li].clock;
-            const simnet::VirtualTime sr = iw.stats.scatter_reduce_done;
-            if (sr > b && sr < e) {
-              eo.SpanAt("scatter_reduce", li, b, sr, iter);
-              eo.SpanAt("allgather", li, sr, e, iter);
-            }
-            eo.Span("w_allreduce", ledger, li, iter);
-          }
-          if (fc != nullptr && excl < fc->excluded.size() &&
-              fc->excluded[excl] == static_cast<comm::GroupRank>(gi)) {
-            ++excl;  // timed out: no broadcast, node state frozen this round
-            continue;
-          }
-
-          // Leader broadcasts W to its node (paper Alg. 1 step 11).
-          const auto& nmembers = faulty ? node_alive[n] : node_ranks[n];
-          const comm::GroupComm& ic = faulty ? *intra_alive[n] : intra[n];
-          const comm::GroupRank leader_g = ic.LocalRank(lead);
-          const std::size_t elems =
-              cfg_.sparse_comm ? iw.result_nnz
-                               : static_cast<std::size_t>(problem.dim());
-          comm::BroadcastFromLeader(ic, leader_g, elems, ledger[lead].clock,
-                                    bc);
-          result.elements_sent += bc.elements_sent;
-          result.messages_sent += bc.messages_sent;
-          for (std::size_t m = 0; m < nmembers.size(); ++m) {
-            ledger.WaitUntil(nmembers[m], bc.finish_times[m]);
-          }
-          if (eo.on()) {
-            *pm.intra_bcast_elements += bc.elements_sent;
-            *pm.intra_bcast_messages += bc.messages_sent;
-            *pm.intra_bcast_bytes +=
-                bc.elements_sent *
-                (cfg_.sparse_comm ? cfg_.cluster.cost.value_bytes +
-                                        cfg_.cluster.cost.index_bytes
-                                  : cfg_.cluster.cost.value_bytes);
-            if (eo.tracing()) {
-              for (std::size_t m = 0; m < nmembers.size(); ++m) {
-                eo.Span("w_broadcast", ledger,
-                        static_cast<std::size_t>(nmembers[m]), iter);
-              }
-            }
-          }
-          ws.ZYStepAll(nmembers, iw.sum, contributors, flops);
-          for (std::size_t m = 0; m < nmembers.size(); ++m) {
-            const simnet::Rank r = nmembers[m];
-            ledger.ChargeCompute(r, cost.ComputeTime(flops[r]));
-          }
-          if (eo.tracing()) {
-            for (std::size_t m = 0; m < nmembers.size(); ++m) {
-              eo.Span("z_y_update", ledger,
-                      static_cast<std::size_t>(nmembers[m]), iter);
             }
           }
         }

@@ -1,5 +1,6 @@
 #include "data/libsvm_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -23,7 +24,12 @@ Dataset ReadLibsvm(std::istream& in, const LibsvmReadOptions& options) {
     const auto tokens = SplitWhitespace(line);
     if (tokens.empty()) continue;
 
+    // from_chars accepts "nan"/"inf": reject them here, or a NaN label
+    // would silently become -1 and a NaN feature would poison every solve.
     const double raw_label = ParseDouble(tokens[0]);
+    PSRA_REQUIRE(std::isfinite(raw_label),
+                 "line " + std::to_string(lineno) + ": non-finite label — " +
+                     tokens[0]);
     labels.push_back(raw_label > 0 ? 1.0 : -1.0);
 
     std::vector<linalg::CsrMatrix::Index> cols;
@@ -42,8 +48,12 @@ Dataset ReadLibsvm(std::istream& in, const LibsvmReadOptions& options) {
       PSRA_REQUIRE(cols.empty() || cols.back() < col,
                    "line " + std::to_string(lineno) +
                        ": indices must be strictly increasing");
+      const double value = ParseDouble(tokens[t].substr(colon + 1));
+      PSRA_REQUIRE(std::isfinite(value),
+                   "line " + std::to_string(lineno) +
+                       ": non-finite feature value — " + tokens[t]);
       cols.push_back(col);
-      vals.push_back(ParseDouble(tokens[t].substr(colon + 1)));
+      vals.push_back(value);
       max_col = std::max(max_col, col + 1);
     }
     row_cols.push_back(std::move(cols));

@@ -132,15 +132,6 @@ void RunGroupingCycle(GroupGenerator& gg, std::span<const LeaderReport> reports,
   (void)gg.EndCycleInto(ws.groups);
 }
 
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, std::span<const LeaderReport> reports) {
-  GroupWorkspace ws;
-  RunGroupingCycle(gg, reports, ws);
-  std::vector<GroupFormation> groups;
-  AppendFormations(ws.groups, 0, groups);
-  return groups;
-}
-
 void RunGroupingCycle(GroupGenerator& gg,
                       std::span<const simnet::VirtualTime> report_times,
                       GroupWorkspace& ws) {

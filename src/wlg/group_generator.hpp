@@ -105,12 +105,9 @@ struct LeaderReport {
 /// Fault-aware grouping cycle over a SUBSET of leaders (dead nodes simply do
 /// not report). Report and death events are replayed in virtual-time order
 /// (ties: reports first, then by node id), so the regrouped memberships are
-/// deterministic.
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, std::span<const LeaderReport> reports);
-
-/// Workspace variant of the fault-aware cycle (same formations; the event
-/// scratch and formed groups live in `ws`).
+/// deterministic; with every leader reporting and none dying, the formations
+/// equal the report-times overload's. The event scratch and formed groups
+/// live in `ws` (allocation-free once warm).
 void RunGroupingCycle(GroupGenerator& gg, std::span<const LeaderReport> reports,
                       GroupWorkspace& ws);
 

@@ -122,8 +122,8 @@ INSTANTIATE_TEST_SUITE_P(AllGroupings, AllocRegression,
                          ::testing::Values(GroupingMode::kFlat,
                                            GroupingMode::kHierarchical,
                                            GroupingMode::kDynamicGroups),
-                         [](const auto& info) {
-                           return GroupingModeName(info.param);
+                         [](const auto& p) {
+                           return GroupingModeName(p.param);
                          });
 
 // Transpose-reduction solver path (DESIGN.md §14): with the Gram Hessian

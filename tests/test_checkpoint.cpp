@@ -181,7 +181,7 @@ TEST(RunCheckpointTest, RestoreWorkerRecomputesDerivedState) {
   CaptureRunCheckpoint(f.ws, 1, everyone, ckpt);
 
   std::vector<double> flops(3, 0.0);
-  f.ws.XWStepAll(flops);  // moves x and w away from the snapshot
+  f.ws.XWStepAll(everyone, flops);  // moves x and w away from the snapshot
   ASSERT_NE(f.ws.x(1), ckpt.workers[1].x);
 
   const auto w_before = f.ws.w(1);
@@ -294,7 +294,7 @@ TEST(RunCheckpointTest, ApplyWarmStartRestoresStateAndReturnsIteration) {
   CaptureRunCheckpoint(f.ws, 4, everyone, ckpt);
 
   std::vector<double> flops(3, 0.0);
-  f.ws.XWStepAll(flops);  // move every worker away from the snapshot
+  f.ws.XWStepAll(everyone, flops);  // move every worker off the snapshot
   f.ws.SetRho(f.ws.rho() * 3.0);
 
   RunOptions opt;

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <typeinfo>
 
 #include "data/dataset.hpp"
 #include "data/libsvm_io.hpp"
@@ -119,6 +123,93 @@ TEST(LibsvmIo, RejectsMalformedTokens) {
   EXPECT_THROW(ReadLibsvm(b), InvalidArgument);
   std::istringstream c("+1 2:1 1:1\n");  // out of order
   EXPECT_THROW(ReadLibsvm(c), InvalidArgument);
+}
+
+TEST(LibsvmIo, RejectsNonFiniteTokens) {
+  // std::from_chars parses these spellings, so the reader must refuse them
+  // itself, naming the offending line.
+  for (const char* text :
+       {"+1 1:nan\n", "+1 1:inf\n", "-1 2:-inf\n", "nan 1:1\n",
+        "inf 1:1\n", "+1 1:0.5\n-inf 2:1\n", "+1 1:1 2:+nan\n"}) {
+    std::istringstream in(text);
+    try {
+      ReadLibsvm(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(LibsvmIo, ByteMutantsParseCleanlyOrThrowInvalidArgument) {
+  // Deterministic mutation fuzzing: byte-level mutants of a small valid
+  // file either load as a well-formed dataset or are rejected with
+  // InvalidArgument — never another exception type, never a crash.
+  const std::string seed_file =
+      "+1 1:0.5 3:1.5 7:-2\n-1 2:2.0 4:1e-3\n+1 1:1 2:1 3:1\n"
+      "-1 5:0.25 6:+3\n0 9:7\n";
+  static constexpr char kAlphabet[] = "0123456789+-.:eEnaifINF \t\n\r";
+  std::mt19937_64 rng(20240611);  // engine output is fixed by the standard
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t parsed = 0, rejected = 0;
+  for (int mutant = 0; mutant < 4000; ++mutant) {
+    std::string text = seed_file;
+    const std::size_t edits = 1 + pick(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const char c = pick(4) == 0
+                         ? static_cast<char>(pick(256))
+                         : kAlphabet[pick(sizeof(kAlphabet) - 1)];
+      switch (pick(3)) {
+        case 0:  // replace
+          text[pick(text.size())] = c;
+          break;
+        case 1:  // insert
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(text.size() + 1)),
+                      c);
+          break;
+        default:  // delete
+          if (text.size() > 1) {
+            text.erase(text.begin() +
+                       static_cast<std::ptrdiff_t>(pick(text.size())));
+          }
+      }
+    }
+    std::istringstream in(text);
+    try {
+      const Dataset ds = ReadLibsvm(in);
+      ++parsed;
+      const auto& m = ds.features();
+      ASSERT_EQ(ds.labels().size(), ds.num_samples()) << text;
+      for (std::uint64_t r = 0; r < ds.num_samples(); ++r) {
+        const double y = ds.labels()[static_cast<std::size_t>(r)];
+        ASSERT_TRUE(y == 1.0 || y == -1.0) << text;
+        const auto idx = m.RowIndices(r);
+        const auto val = m.RowValues(r);
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          ASSERT_TRUE(std::isfinite(val[k])) << text;
+          ASSERT_LT(idx[k], ds.num_features()) << text;
+          if (k > 0) {
+            ASSERT_LT(idx[k - 1], idx[k]) << text;
+          }
+        }
+      }
+    } catch (const InvalidArgument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "unexpected " << typeid(e).name() << " (" << e.what()
+             << ") on mutant:\n" << text;
+    }
+  }
+  // Both outcomes must actually occur, or the mutator is not exercising
+  // the reader.
+  EXPECT_GT(parsed, 100u) << rejected << " rejected";
+  EXPECT_GT(rejected, 100u) << parsed << " parsed";
 }
 
 TEST(LibsvmIo, WriteReadRoundTrip) {

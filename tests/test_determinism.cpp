@@ -160,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(AllGroupings, PoolDeterminism,
                          ::testing::Values(GroupingMode::kFlat,
                                            GroupingMode::kHierarchical,
                                            GroupingMode::kDynamicGroups),
-                         [](const auto& info) {
-                           return GroupingModeName(info.param);
+                         [](const auto& p) {
+                           return GroupingModeName(p.param);
                          });
 
 // The transpose-reduction solver path (DESIGN.md §14) is covered by the

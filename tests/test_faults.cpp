@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "admm/ad_admm.hpp"
 #include "admm/gadmm.hpp"
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
+#include "obs/obs.hpp"
 
 namespace psra::admm {
 namespace {
@@ -109,8 +114,8 @@ INSTANTIATE_TEST_SUITE_P(Groupings, CrashRecovery,
                          ::testing::Values(GroupingMode::kFlat,
                                            GroupingMode::kHierarchical,
                                            GroupingMode::kDynamicGroups),
-                         [](const auto& info) {
-                           return GroupingModeName(info.param);
+                         [](const auto& p) {
+                           return GroupingModeName(p.param);
                          });
 
 TEST(Faults, PermanentCrashDegradesToSurvivors) {
@@ -229,6 +234,338 @@ TEST(Faults, AdAdmmRetransmitsDropsAndAbsorbsDelays) {
   EXPECT_NEAR(faulty.final_objective, clean.final_objective,
               0.1 * std::fabs(clean.final_objective));
 }
+
+// ---- FaultPin: exact values of faulty PsraHgAdmm runs ---------------------
+// The tests above check properties of faulty runs (a recovery happened, the
+// model stays near the fault-free one). These pin the runs themselves, so
+// any change to how the engine schedules collectives, excludes members or
+// regroups under faults shows up as a diff. Integer observables (fault
+// counts, messages, structural counters — the classes scripts/sweep_report
+// also pins exactly) must match exactly; elements, objective and makespan to
+// 1e-9 relative. The expected rows were recorded from the engine and are
+// only re-recorded when a change to faulty-run behavior is intended: a
+// failing case prints its actual row in the table's own format.
+
+enum class FaultScenario { kChurn, kPermanentCrash, kLeaderDeath };
+
+struct FaultPinCase {
+  GroupingMode grouping;
+  bool sparse;
+  FaultScenario scenario;
+};
+
+std::string FaultPinName(const FaultPinCase& c) {
+  static const char* const kScenario[] = {"churn", "permanent", "leader"};
+  return GroupingModeName(c.grouping) + (c.sparse ? "_sparse_" : "_dense_") +
+         kScenario[static_cast<int>(c.scenario)];
+}
+
+PsraConfig FaultPinConfig(const FaultPinCase& c) {
+  PsraConfig cfg = BaseConfig(c.grouping);
+  cfg.sparse_comm = c.sparse;
+  auto& f = cfg.cluster.fault;
+  switch (c.scenario) {
+    case FaultScenario::kChurn:
+      // Crash-restart of a non-leader plus lossy, slow links. One retry
+      // leaves a member still dropping excluded from its collective.
+      f.crashes.push_back({/*rank=*/3, /*at_iteration=*/4,
+                           /*down_iterations=*/3});
+      f.message_drop_probability = 0.2;
+      f.max_retries = 1;
+      f.message_delay_probability = 0.2;
+      f.message_delay_s = 5e-4;
+      f.checkpoint_every = 3;
+      break;
+    case FaultScenario::kPermanentCrash:
+      // A non-leader, then node 1's leader (re-election), then all of node
+      // 3 (an inactive node) go down for good.
+      f.crashes.push_back({5, 4, 0});
+      f.crashes.push_back({2, 6, 0});
+      f.crashes.push_back({6, 9, 0});
+      f.crashes.push_back({7, 9, 0});
+      break;
+    case FaultScenario::kLeaderDeath:
+      f.leader_deaths.push_back({/*node=*/1, /*at_iteration=*/4,
+                                 /*down_iterations=*/3});
+      f.leader_deaths.push_back({2, 7, 0});
+      f.checkpoint_every = 3;
+      break;
+  }
+  return cfg;
+}
+
+struct FaultPinRow {
+  const char* name;
+  FaultStats faults;
+  std::size_t messages_sent;
+  std::uint64_t iterations_run;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  double elements_sent;
+  double final_objective;
+  double makespan;
+};
+
+/// Counters whose values are structural (how many collectives ran, how many
+/// messages and rounds they took), in the registry's sorted key order.
+std::vector<std::pair<std::string, std::uint64_t>> StructuralCounters(
+    const obs::MetricsRegistry& m) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (const auto& [key, value] : m.counters()) {
+    for (const char* suffix : {".invocations", ".messages", ".rounds"}) {
+      const std::string s(suffix);
+      if (key.size() > s.size() &&
+          key.compare(key.size() - s.size(), s.size(), s) == 0) {
+        out.emplace_back(key, value);
+      }
+    }
+  }
+  return out;
+}
+
+std::string FormatRow(const std::string& name, const RunResult& r) {
+  const FaultStats& f = r.faults;
+  std::string s = "{\"" + name + "\", {";
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "%zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu",
+                f.worker_crashes, f.recoveries, f.leader_deaths,
+                f.leader_reelections, f.dropped_messages, f.retries,
+                f.delayed_messages, f.down_worker_iterations);
+  s += buf;
+  std::snprintf(buf, sizeof buf, "}, %zu, %llu, {", r.messages_sent,
+                static_cast<unsigned long long>(r.iterations_run));
+  s += buf;
+  bool first = true;
+  for (const auto& [key, value] : StructuralCounters(r.metrics)) {
+    s += (first ? "{\"" : ", {\"") + key + "\", " + std::to_string(value) + "}";
+    first = false;
+  }
+  std::snprintf(buf, sizeof buf, "}, %zu, %.17g, %.17g},", r.elements_sent,
+                r.final_objective, r.makespan);
+  return s + buf;
+}
+
+// clang-format off
+const FaultPinRow kFaultPins[] = {
+    {"flat_dense_churn",
+     {1, 1, 0, 0, 53, 14, 21, 3},
+     1168, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 1168},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     17400, 92.375130687914393, 0.13240876344012525},
+    {"flat_dense_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     876, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 876},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     14400, 96.369449706393581, 0.0013790645794557713},
+    {"flat_dense_leader",
+     {0, 0, 0, 0, 0, 0, 0, 0},
+     1792, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 1792},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     22400, 90.517171688218923, 0.0018322107066152003},
+    {"flat_sparse_churn",
+     {1, 1, 0, 0, 53, 14, 21, 3},
+     1168, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 1168},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     15063, 92.375130687914393, 0.13245681379726787},
+    {"flat_sparse_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     876, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 876},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     12419, 96.369449706393581, 0.0014337412223129151},
+    {"flat_sparse_leader",
+     {0, 0, 0, 0, 0, 0, 0, 0},
+     1792, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 1792},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 0},
+      {"comm.intra.reduce.messages", 0}},
+     19339, 90.517171688218923, 0.0018877069923294793},
+    {"hierarchical_dense_churn",
+     {1, 1, 0, 0, 25, 12, 13, 3},
+     393, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 280},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 52},
+      {"comm.intra.reduce.messages", 61}},
+     18900, 92.479464271883174, 0.12389233785621855},
+    {"hierarchical_dense_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     352, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 288},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 32},
+      {"comm.intra.reduce.messages", 32}},
+     14400, 96.369449706393596, 0.00092901585670468912},
+    {"hierarchical_dense_leader",
+     {0, 1, 2, 3, 0, 0, 0, 12},
+     462, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 360},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 50},
+      {"comm.intra.reduce.messages", 52}},
+     19400, 91.669517852692735, 0.10104918306085636},
+    {"hierarchical_sparse_churn",
+     {1, 1, 0, 0, 25, 12, 13, 3},
+     393, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 280},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 52},
+      {"comm.intra.reduce.messages", 61}},
+     18459, 92.479464271883174, 0.12394615672791885},
+    {"hierarchical_sparse_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     352, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 288},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 32},
+      {"comm.intra.reduce.messages", 32}},
+     13724, 96.369449706393596, 0.00098559832611351474},
+    {"hierarchical_sparse_leader",
+     {0, 1, 2, 3, 0, 0, 0, 12},
+     462, 16,
+     {{"comm.allreduce.psr.invocations", 16},
+      {"comm.allreduce.psr.messages", 360},
+      {"comm.allreduce.psr.rounds", 32},
+      {"comm.intra.bcast.messages", 50},
+      {"comm.intra.reduce.messages", 52}},
+     18770, 91.669517852692735, 0.10111165419504314},
+    {"dynamic_dense_churn",
+     {1, 1, 0, 0, 19, 14, 14, 3},
+     359, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 112},
+      {"comm.allreduce.psr.rounds", 56},
+      {"comm.intra.bcast.messages", 58},
+      {"comm.intra.reduce.messages", 61}},
+     17500, 94.851008793189266, 0.11785447199101225},
+    {"dynamic_dense_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     272, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 96},
+      {"comm.allreduce.psr.rounds", 48},
+      {"comm.intra.bcast.messages", 32},
+      {"comm.intra.reduce.messages", 32}},
+     11200, 103.63764946146284, 0.0023650178448138743},
+    {"dynamic_dense_leader",
+     {0, 1, 2, 3, 0, 0, 0, 12},
+     350, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 120},
+      {"comm.allreduce.psr.rounds", 60},
+      {"comm.intra.bcast.messages", 50},
+      {"comm.intra.reduce.messages", 52}},
+     16200, 95.6581674595013, 0.10239285832037068},
+    {"dynamic_sparse_churn",
+     {1, 1, 0, 0, 19, 14, 14, 3},
+     359, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 112},
+      {"comm.allreduce.psr.rounds", 56},
+      {"comm.intra.bcast.messages", 58},
+      {"comm.intra.reduce.messages", 61}},
+     17017, 94.851008793189266, 0.11788896477672645},
+    {"dynamic_sparse_permanent",
+     {4, 0, 0, 1, 0, 0, 0, 40},
+     272, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 96},
+      {"comm.allreduce.psr.rounds", 48},
+      {"comm.intra.bcast.messages", 32},
+      {"comm.intra.reduce.messages", 32}},
+     10594, 103.63764946146284, 0.0024024855590995885},
+    {"dynamic_sparse_leader",
+     {0, 1, 2, 3, 0, 0, 0, 12},
+     350, 16,
+     {{"comm.allreduce.psr.invocations", 32},
+      {"comm.allreduce.psr.messages", 120},
+      {"comm.allreduce.psr.rounds", 60},
+      {"comm.intra.bcast.messages", 50},
+      {"comm.intra.reduce.messages", 52}},
+     15592, 95.6581674595013, 0.10243204332037058},
+};
+// clang-format on
+
+const FaultPinRow* FindPin(const std::string& name) {
+  for (const FaultPinRow& row : kFaultPins) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+void ExpectRelNear(double actual, double expected, const char* what) {
+  EXPECT_LE(std::fabs(actual - expected),
+            1e-9 * std::max(std::fabs(expected), 1e-300))
+      << what << ": actual " << actual << ", expected " << expected;
+}
+
+class FaultPin : public ::testing::TestWithParam<FaultPinCase> {};
+
+TEST_P(FaultPin, RunMatchesRecordedValues) {
+  const FaultPinCase& c = GetParam();
+  const std::string name = FaultPinName(c);
+  obs::ObsContext ctx;
+  ctx.tracing = false;
+  RunOptions opt = Options(16);
+  opt.obs = &ctx;
+  const RunResult r = PsraHgAdmm(FaultPinConfig(c)).Run(Problem(), opt);
+  const std::string actual = FormatRow(name, r);
+
+  const FaultPinRow* pin = FindPin(name);
+  ASSERT_NE(pin, nullptr) << "no recorded row; actual:\n" << actual;
+  EXPECT_EQ(r.faults, pin->faults) << actual;
+  EXPECT_EQ(r.messages_sent, pin->messages_sent) << actual;
+  EXPECT_EQ(r.iterations_run, pin->iterations_run) << actual;
+  EXPECT_EQ(StructuralCounters(r.metrics), pin->counters) << actual;
+  ExpectRelNear(static_cast<double>(r.elements_sent), pin->elements_sent,
+                "elements_sent");
+  ExpectRelNear(r.final_objective, pin->final_objective, "final_objective");
+  ExpectRelNear(r.makespan, pin->makespan, "makespan");
+}
+
+std::vector<FaultPinCase> AllFaultPinCases() {
+  std::vector<FaultPinCase> cases;
+  for (GroupingMode g : {GroupingMode::kFlat, GroupingMode::kHierarchical,
+                         GroupingMode::kDynamicGroups}) {
+    for (bool sparse : {false, true}) {
+      for (FaultScenario s :
+           {FaultScenario::kChurn, FaultScenario::kPermanentCrash,
+            FaultScenario::kLeaderDeath}) {
+        cases.push_back({g, sparse, s});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, FaultPin,
+                         ::testing::ValuesIn(AllFaultPinCases()),
+                         [](const auto& p) { return FaultPinName(p.param); });
 
 }  // namespace
 }  // namespace psra::admm

@@ -1,9 +1,10 @@
 // Golden-file and contract tests for the trace/metrics analyzer behind
 // tools/psra_report. The fixtures are committed; regenerate the goldens with
+// this one command line (wrapped here):
 //
-//   build/tools/psra_report --trace tests/fixtures/report_trace.json \
-//     --metrics tests/fixtures/report_metrics.json \
-//     --out tests/fixtures/report_golden.md \
+//   build/tools/psra_report --trace tests/fixtures/report_trace.json
+//     --metrics tests/fixtures/report_metrics.json
+//     --out tests/fixtures/report_golden.md
 //     --csv tests/fixtures/report_golden.csv
 //
 // whenever the report layout changes on purpose.
@@ -228,7 +229,8 @@ RankObsPayload MakeRankPayload(std::uint32_t rank, std::uint32_t world,
 }
 
 // Regenerate the committed golden after an intentional layout change with
-//   PSRA_REGEN_GOLDEN=1 build/tests/test_report \
+// (one command line)
+//   PSRA_REGEN_GOLDEN=1 build/tests/test_report
 //     --gtest_filter='WireMergedTrace.*'
 TEST(WireMergedTrace, GoldenLanesAreRankOrderedAndClockAligned) {
   // Arrival order deliberately differs from rank order; rank 2's offset
@@ -511,8 +513,9 @@ TEST(AnalyzeTimelineSeries, FlagsDivergenceStallAndGaps) {
   EXPECT_EQ(nr.series[0].finite, 2u);
 }
 
-// Regenerate both goldens after an intentional change with
-//   PSRA_REGEN_GOLDEN=1 build/tests/test_report \
+// Regenerate both goldens after an intentional change with (one command
+// line)
+//   PSRA_REGEN_GOLDEN=1 build/tests/test_report
 //     --gtest_filter='TimelineGolden.*'
 // (timeline_golden.jsonl itself comes from a real run; see its header
 // comment in EXPERIMENTS.md — the md is derived here.)

@@ -327,7 +327,7 @@ TEST(Stopwatch, MeasuresNonNegativeMonotoneTime) {
   EXPECT_GE(a, 0.0);
   // Busy-wait a hair so the second reading cannot precede the first.
   volatile double sink = 0;
-  for (int i = 0; i < 10000; ++i) sink += i;
+  for (int i = 0; i < 10000; ++i) sink = sink + i;
   const double b = sw.ElapsedSeconds();
   EXPECT_GE(b, a);
   sw.Reset();

@@ -315,7 +315,7 @@ INSTANTIATE_TEST_SUITE_P(
         ConformanceCase{AllreduceKind::kNaive, true, false, "naive_sparse"},
         ConformanceCase{AllreduceKind::kNaive, true, true,
                         "naive_sparse_empty"}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& p) { return p.param.name; });
 
 TEST(WireConformance, HierarchicalMatchesSimulator) {
   // 3 racks x 2 node leaders; PSR at both levels (the paper's headline

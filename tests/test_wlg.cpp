@@ -16,6 +16,12 @@ using simnet::NodeId;
 using simnet::Rank;
 using simnet::Topology;
 
+/// Member list of group `g` of a formed batch.
+std::vector<NodeId> MembersOf(const GroupWorkspace& ws, std::size_t g) {
+  const auto members = ws.groups.members(ws.groups.group(g));
+  return {members.begin(), members.end()};
+}
+
 // ---------------------------------------------------------------- leader ----
 
 TEST(Leader, LowestRankPolicy) {
@@ -221,11 +227,12 @@ TEST(GroupGenerator, FaultyCycleRegroupsAroundLeaderDeath) {
       {.node = 2, .time = 3.0, .dies_at = std::nullopt},
       {.node = 3, .time = 4.0, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{1, 2}));
-  EXPECT_DOUBLE_EQ(formed[0].formed_at, 3.0);
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{3}));
+  GroupWorkspace ws;
+  RunGroupingCycle(gg, reports, ws);
+  ASSERT_EQ(ws.groups.size(), 2u);
+  EXPECT_EQ(MembersOf(ws, 0), (std::vector<NodeId>{1, 2}));
+  EXPECT_DOUBLE_EQ(ws.groups.group(0).formed_at, 3.0);
+  EXPECT_EQ(MembersOf(ws, 1), (std::vector<NodeId>{3}));
 }
 
 TEST(GroupGenerator, FaultyCycleKeepsGroupsFormedBeforeTheDeath) {
@@ -238,10 +245,11 @@ TEST(GroupGenerator, FaultyCycleKeepsGroupsFormedBeforeTheDeath) {
       {.node = 2, .time = 6.0, .dies_at = std::nullopt},
       {.node = 3, .time = 7.0, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{2, 3}));
+  GroupWorkspace ws;
+  RunGroupingCycle(gg, reports, ws);
+  ASSERT_EQ(ws.groups.size(), 2u);
+  EXPECT_EQ(MembersOf(ws, 0), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(MembersOf(ws, 1), (std::vector<NodeId>{2, 3}));
 }
 
 TEST(GroupGenerator, FaultyCycleWithSubsetOfLeaders) {
@@ -253,10 +261,35 @@ TEST(GroupGenerator, FaultyCycleWithSubsetOfLeaders) {
       {.node = 0, .time = 2.5, .dies_at = std::nullopt},
       {.node = 3, .time = 3.5, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{2, 0}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{3}));
+  GroupWorkspace ws;
+  RunGroupingCycle(gg, reports, ws);
+  ASSERT_EQ(ws.groups.size(), 2u);
+  EXPECT_EQ(MembersOf(ws, 0), (std::vector<NodeId>{2, 0}));
+  EXPECT_EQ(MembersOf(ws, 1), (std::vector<NodeId>{3}));
+}
+
+TEST(GroupGenerator, DeathFreeReportCycleMatchesReportTimesCycle) {
+  // The engine feeds every dynamic-mode cycle through the LeaderReport
+  // overload; with all leaders reporting and none dying it must form the
+  // same groups (members, order, formed_at) as the report-times overload,
+  // tied report times included.
+  const std::vector<simnet::VirtualTime> times{5, 1, 7, 2, 8, 3, 5, 1};
+  std::vector<LeaderReport> reports;
+  for (NodeId n = 0; n < times.size(); ++n) {
+    reports.push_back({.node = n, .time = times[n], .dies_at = std::nullopt});
+  }
+  GroupGenerator gg_times(3, 8), gg_reports(3, 8);
+  GroupWorkspace expected, ws;
+  for (int cycle = 0; cycle < 2; ++cycle) {  // cycles chain on one GG
+    RunGroupingCycle(gg_times, times, expected);
+    RunGroupingCycle(gg_reports, reports, ws);
+    ASSERT_EQ(ws.groups.size(), expected.groups.size());
+    for (std::size_t g = 0; g < ws.groups.size(); ++g) {
+      EXPECT_EQ(MembersOf(ws, g), MembersOf(expected, g));
+      EXPECT_EQ(ws.groups.group(g).formed_at,
+                expected.groups.group(g).formed_at);
+    }
+  }
 }
 
 // ------------------------------------------------------- group workspace ----
